@@ -3,10 +3,13 @@
 All sweeps use the two-group planted model (d=100, k=3, factor
 variances (4, 2, 1), 200 samples at noise variance 1 and 800 samples at
 noise variance ``sigma2**2``) unless noted.  Worker processes are used
-for independent (trial, sigma2) tasks; rows are sorted afterwards so
-parallelism never changes the artifact.  The environment variable
-HEPPCAT_THREADS caps the pool (0 or unset uses all cores; 1 runs
-serially in-process).
+for independent (trial, sigma2) tasks, and every task runs on one BLAS
+thread, in a worker or in-process alike.  The BLAS thread count changes
+rounding, so sweep rows do not depend on the pool size or on the core
+count; rows are sorted afterwards so parallelism never changes the
+artifact.  The environment variable HEPPCAT_THREADS caps the pool (0 or
+unset uses every CPU this process may run on; 1 runs serially
+in-process).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from . import _blas
 from .baselines import ppca_closed_form, weighted_pca
 from .fitter import FitConfig, fit, init_ppca, init_random
 from .metrics import component_recovery, factor_error, nrmse, subspace_error
@@ -82,7 +86,8 @@ _FIT_KW = dict(max_iters=1000, tol=1e-8, loglik_tol=1e-10)
 
 
 def worker_count() -> int:
-    """Pool size from HEPPCAT_THREADS (0 or unset means all cores)."""
+    """Pool size from HEPPCAT_THREADS (0 or unset means every CPU in this
+    process's affinity mask)."""
     raw = os.environ.get("HEPPCAT_THREADS", "0")
     try:
         n = int(raw)
@@ -90,7 +95,11 @@ def worker_count() -> int:
         raise ValueError(f"HEPPCAT_THREADS must be an integer, got {raw!r}")
     if n < 0:
         raise ValueError("HEPPCAT_THREADS must be >= 0")
-    return n if n > 0 else (os.cpu_count() or 1)
+    if n > 0:
+        return n
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def preset_truth(sigma2: float, seed: int, trial: int = 0, blocked: bool = False) -> TruthModel:
@@ -226,10 +235,14 @@ def run_benchmark(preset: str, trials: int, sigma_grid=None, methods=None, seed:
 
 
 def _map_tasks(fn, tasks):
+    """Run every task on one BLAS thread, serially or in a worker pool."""
     n = worker_count()
     if n == 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(n, len(tasks))) as pool:
+        with _blas.pinned(1):
+            return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(
+        max_workers=min(n, len(tasks)), initializer=_blas.set_threads, initargs=(1,)
+    ) as pool:
         return list(pool.map(fn, tasks))
 
 

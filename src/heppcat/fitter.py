@@ -145,8 +145,8 @@ def _initial_model(data: GroupedData, cfg: FitConfig) -> FactorModel:
 
 def _v_pass(data: GroupedData, model: FactorModel, method: str) -> FactorModel:
     v_new = np.empty(model.L)
-    for l, (B, n) in enumerate(zip(data.blocks, data.group_sizes)):
-        c = v_coefficients(B, model, n_samples=n)
+    for l, (B, n, energy) in enumerate(zip(data.blocks, data.group_sizes, data.energies)):
+        c = v_coefficients(B, model, n_samples=n, energy=energy)
         v_new[l] = update_v(method, c, model.v[l])
     return replace(model, v=v_new)
 

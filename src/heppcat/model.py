@@ -224,7 +224,12 @@ class VCoefficients:
         return int(round(self.alpha[0])) + self.k
 
 
-def v_coefficients(block: np.ndarray, model: FactorModel, n_samples: int | None = None) -> VCoefficients:
+def v_coefficients(
+    block: np.ndarray,
+    model: FactorModel,
+    n_samples: int | None = None,
+    energy: float | None = None,
+) -> VCoefficients:
     """Coefficients of the noise objective for one data block.
 
     Parameters
@@ -236,6 +241,9 @@ def v_coefficients(block: np.ndarray, model: FactorModel, n_samples: int | None 
     n_samples : int, optional
         Observed sample count; defaults to the column count.  Pass the
         original count for compressed blocks.
+    energy : float, optional
+        The block's energy ``||Y||_F^2``, as held in
+        ``GroupedData.energies``; computed from the block when omitted.
 
     The residual energy ``beta_0`` is formed by subtracting the factor
     direction energies from ``||Y||_F^2`` and clamping at zero, avoiding
@@ -250,8 +258,9 @@ def v_coefficients(block: np.ndarray, model: FactorModel, n_samples: int | None 
         raise ValueError("need at least one sample")
     G = model.U.T @ B
     beta_dir = np.einsum("ij,ij->i", G, G) / n
-    energy = float(np.einsum("ij,ij->", B, B)) / n
-    beta0 = max(energy - float(beta_dir.sum()), 0.0)
+    if energy is None:
+        energy = float(np.einsum("ij,ij->", B, B))
+    beta0 = max(energy / n - float(beta_dir.sum()), 0.0)
     alpha = np.concatenate(([float(d - k)], np.ones(k)))
     beta = np.concatenate(([beta0], beta_dir))
     gamma = np.concatenate(([0.0], model.lam))
@@ -332,7 +341,7 @@ def log_likelihood_parts(data: GroupedData, model: FactorModel) -> float:
     for l, (B, n, energy) in enumerate(zip(data.blocks, data.group_sizes, data.energies)):
         v = float(model.v[l])
         if v == 0.0:
-            c = v_coefficients(B, model, n_samples=n)
+            c = v_coefficients(B, model, n_samples=n, energy=energy)
             total += 0.5 * n * univariate_objective(c, v)
             continue
         G = U.T @ B

@@ -4,6 +4,8 @@ Heavier statistical claims about the sweeps live in the acceptance
 suite; these tests pin the plumbing at smoke scale.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,8 @@ from heppcat import (
     train_test_split,
     worker_count,
 )
-from heppcat.benchmark import FIG6_BLOCK_SIZES, _split_into_blocks
+from heppcat import _blas
+from heppcat.benchmark import FIG6_BLOCK_SIZES, _map_tasks, _split_into_blocks
 
 
 @pytest.fixture(autouse=True)
@@ -89,6 +92,34 @@ def test_split_into_blocks():
     assert np.array_equal(out.blocks[0], [[0.0, 1.0], [4.0, 5.0]])
     with pytest.raises(ValueError, match="divide"):
         _split_into_blocks(data, 3)
+
+
+def test_benchmark_rows_do_not_depend_on_pool_size(monkeypatch):
+    # BLAS thread counts change rounding, so this holds only when the
+    # serial path and the pool workers run on the same count
+    kw = dict(trials=2, sigma_grid=(0.5,), methods=("heppcat-em", "ppca-full"), seed=0)
+    serial = run_benchmark("fig3", **kw)
+    monkeypatch.setenv("HEPPCAT_THREADS", "2")
+    assert run_benchmark("fig3", **kw) == serial
+
+
+def _blas_thread_counts(_):
+    return _blas.thread_counts()
+
+
+def test_tasks_run_on_one_blas_thread(monkeypatch):
+    with _blas.pinned(2):
+        before = _blas.thread_counts()
+        if not before:
+            pytest.skip("no OpenBLAS loaded")
+        assert set(before) == {2}
+        one = [(1,) * len(before)] * 2
+        assert _map_tasks(_blas_thread_counts, [0, 1]) == one
+        # the serial path restores the process's own counts
+        assert _blas.thread_counts() == before
+        monkeypatch.setenv("HEPPCAT_THREADS", "2")
+        assert _map_tasks(_blas_thread_counts, [0, 1]) == one
+        assert _blas.thread_counts() == before
 
 
 def test_fig6_metric_names_and_clustering():
@@ -167,9 +198,9 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("HEPPCAT_THREADS", "3")
     assert worker_count() == 3
     monkeypatch.setenv("HEPPCAT_THREADS", "0")
-    assert worker_count() >= 1
+    assert worker_count() == len(os.sched_getaffinity(0))
     monkeypatch.delenv("HEPPCAT_THREADS")
-    assert worker_count() >= 1
+    assert worker_count() == len(os.sched_getaffinity(0))
     monkeypatch.setenv("HEPPCAT_THREADS", "many")
     with pytest.raises(ValueError, match="integer"):
         worker_count()

@@ -226,6 +226,12 @@ def test_coefficients_respect_sample_count_override(rng):
     c1 = v_coefficients(B, model)
     c2 = v_coefficients(B, model, n_samples=2 * B.shape[1])
     assert np.allclose(2.0 * c2.beta, c1.beta)
+    # the cached block energy gives exactly the coefficients computed from B
+    for c, n in ((c1, None), (c2, 2 * B.shape[1])):
+        cached = v_coefficients(B, model, n_samples=n, energy=data.energies[0])
+        for name in ("alpha", "beta", "gamma", "zero_set"):
+            assert np.array_equal(getattr(cached, name), getattr(c, name))
+        assert cached.beta_tilde == c.beta_tilde
 
 
 def test_derivative_matches_finite_differences(rng):
