@@ -9,20 +9,13 @@ per-group sample count grows (metrics_fig6.csv).
 """
 
 import argparse
-import csv
 import pathlib
 
 import numpy as np
 
-from heppcat import run_benchmark
+from heppcat import run_benchmark, write_rows
 
-
-def write_rows(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["trial", "sigma2", "method", "metric", "value"])
-        w.writeheader()
-        for r in rows:
-            w.writerow({**r, "value": repr(float(r["value"]))})
+FIELDS = ["trial", "sigma2", "method", "metric", "value"]
 
 
 def main():
@@ -37,7 +30,7 @@ def main():
 
     rows = run_benchmark("fig5", trials=args.trials, sigma_grid=(args.sigma2,), seed=args.seed)
     path = args.out_dir / "metrics_fig5.csv"
-    write_rows(path, rows)
+    write_rows(path, FIELDS, rows)
     print(f"wrote {path} ({len(rows)} rows)")
     by_metric = {}
     for r in rows:
@@ -50,7 +43,7 @@ def main():
         "fig6-blocks", trials=args.block_trials, sigma_grid=(args.sigma2,), seed=args.seed
     )
     path = args.out_dir / "metrics_fig6.csv"
-    write_rows(path, rows)
+    write_rows(path, FIELDS, rows)
     print(f"wrote {path} ({len(rows)} rows)")
     spread = {}
     for r in rows:

@@ -7,12 +7,11 @@ converged likelihoods concentrate around the best one (gaps.csv).
 """
 
 import argparse
-import csv
 import pathlib
 
 import numpy as np
 
-from heppcat import run_landscape
+from heppcat import run_landscape, write_rows
 
 
 def main():
@@ -34,10 +33,7 @@ def main():
         max_iters=args.max_iters,
     )
     fields = ["sigma2_squared", "method", "init", "run", "iteration", "loglik", "gap", "converged"]
-    with open(args.out, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
-        w.writeheader()
-        w.writerows(rows)
+    write_rows(args.out, fields, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
 
     final = {}

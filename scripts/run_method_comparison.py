@@ -7,20 +7,13 @@ output directory and prints median/quartile summaries.
 """
 
 import argparse
-import csv
 import pathlib
 
 import numpy as np
 
-from heppcat import run_benchmark
+from heppcat import run_benchmark, write_rows
 
-
-def write_rows(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["trial", "sigma2", "method", "metric", "value"])
-        w.writeheader()
-        for r in rows:
-            w.writerow({**r, "value": repr(float(r["value"]))})
+FIELDS = ["trial", "sigma2", "method", "metric", "value"]
 
 
 def summarize(rows):
@@ -49,7 +42,7 @@ def main():
     for preset in args.presets:
         rows = run_benchmark(preset, trials=args.trials, sigma_grid=args.sigma_grid, seed=args.seed)
         path = args.out_dir / f"metrics_{preset}.csv"
-        write_rows(path, rows)
+        write_rows(path, FIELDS, rows)
         print(f"\n== {preset}: {len(rows)} rows -> {path}")
         summarize(rows)
 

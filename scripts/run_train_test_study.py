@@ -9,12 +9,11 @@ when the noisy group dominates.
 """
 
 import argparse
-import csv
 import pathlib
 
 import numpy as np
 
-from heppcat import train_test_nrmse
+from heppcat import train_test_nrmse, write_rows
 
 
 def main():
@@ -35,11 +34,7 @@ def main():
         fraction=args.fraction,
         seed=args.seed,
     )
-    with open(args.out, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["trial", "sigma2", "method", "metric", "value"])
-        w.writeheader()
-        for r in rows:
-            w.writerow({**r, "value": repr(float(r["value"]))})
+    write_rows(args.out, ["trial", "sigma2", "method", "metric", "value"], rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
 
     for metric in ("nrmse_train", "nrmse_test"):

@@ -33,6 +33,7 @@ from .dataio import (
     record_to_model,
     write_dataset,
     write_json,
+    write_rows,
 )
 from .errors import DegenerateDataError, NumericalError
 from .fitter import FitConfig, FitResult, FitTrace, fit, init_ppca, init_random
@@ -110,6 +111,7 @@ __all__ = [
     "relative_bias",
     "SCHEMA_VERSION",
     "write_dataset",
+    "write_rows",
     "read_dataset",
     "write_json",
     "read_json",

@@ -1,12 +1,13 @@
 """Thread counts of the OpenBLAS libraries loaded in this process.
 
 numpy and scipy wheels each bundle their own OpenBLAS, and each sizes
-its thread pool to the core count.  The sweep harness runs every task on
-one BLAS thread: the matrices are too small to gain from threading, pool
-workers would otherwise oversubscribe the cores, and the thread count
-changes rounding, so pinning it makes rows independent of the pool size
-and of the machine.  Libraries are found from ``/proc/self/maps``; where
-that file or the thread-count symbols are missing, nothing is changed.
+its thread pool to the core count.  Every sweep task, study and CLI
+command runs on one BLAS thread: the matrices are too small to gain from
+threading, pool workers would otherwise oversubscribe the cores, and the
+thread count changes rounding, so pinning it makes outputs independent
+of the pool size and of the machine.  Libraries are found from
+``/proc/self/maps``; where that file or the thread-count symbols are
+missing, nothing is changed.
 """
 
 from __future__ import annotations

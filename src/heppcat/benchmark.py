@@ -250,6 +250,7 @@ def _map_tasks(fn, tasks):
 # likelihood landscape
 
 
+@_blas.pinned(1)
 def run_landscape(
     sigma2_squared_grid=(0.1, 1.0, 2.0, 3.0),
     n_random: int = 20,
@@ -307,6 +308,7 @@ def run_landscape(
 # anchored surrogate curves
 
 
+@_blas.pinned(1)
 def minorizer_curves(data: GroupedData, rank: int, n_grid: int = 200, span: float = 100.0) -> list:
     """Objective and all four anchored surrogates per group, shifted to
     zero at the anchor (the spectral initialization's noise variance)."""
@@ -359,6 +361,7 @@ def train_test_split(data: GroupedData, fraction: float, seed: int, trial: int =
     return GroupedData(train_blocks), GroupedData(test_blocks)
 
 
+@_blas.pinned(1)
 def train_test_nrmse(
     sigma2: float = 2.0,
     trials: int = 20,

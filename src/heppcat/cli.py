@@ -13,14 +13,14 @@ are deliberately kept out of the files so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
 import numpy as np
 
+from . import _blas
 from . import benchmark as bench
-from .dataio import model_record, read_dataset, write_dataset, write_json
+from .dataio import model_record, read_dataset, write_dataset, write_json, write_rows
 from .errors import NumericalError
 from .fitter import FitConfig, fit
 from .fupdate import compress_gram
@@ -76,17 +76,6 @@ def parse_feature_blocks(text: str, L: int) -> list:
                 raise ValueError(f"bad feature-block pair {pair!r}; expected count:variance") from None
         out.append(spec)
     return out
-
-
-def _write_rows(path, fieldnames, rows) -> None:
-    """CSV writer with shortest round-trip float formatting."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(fieldnames)
-        for r in rows:
-            w.writerow(
-                [repr(float(r[f])) if isinstance(r[f], float) else r[f] for f in fieldnames]
-            )
 
 
 def _print_summary(rows, keys, value="value") -> None:
@@ -224,7 +213,7 @@ def cmd_benchmark(args) -> int:
         methods=args.methods,
         seed=args.seed,
     )
-    _write_rows(args.out, ["trial", "sigma2", "method", "metric", "value"], rows)
+    write_rows(args.out, ["trial", "sigma2", "method", "metric", "value"], rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     _print_summary(rows, ("sigma2", "method", "metric"))
     return 0
@@ -243,7 +232,7 @@ def cmd_landscape(args) -> int:
             )
         )
     fields = ["sigma2_squared", "method", "init", "run", "iteration", "loglik", "gap", "converged"]
-    _write_rows(args.out, fields, rows)
+    write_rows(args.out, fields, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     finals = [r for r in rows if r["converged"]]
     if finals:
@@ -256,7 +245,7 @@ def cmd_landscape(args) -> int:
 def cmd_minorizers(args) -> int:
     data, _ = read_dataset(args.data)
     rows = bench.minorizer_curves(data, args.rank, n_grid=args.grid_points, span=args.span)
-    _write_rows(args.out, ["group", "v", "curve", "value"], rows)
+    write_rows(args.out, ["group", "v", "curve", "value"], rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
@@ -348,7 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the BLAS thread count changes rounding; one thread keeps the
+        # artifacts the same on every machine
+        with _blas.pinned(1):
+            return args.func(args)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ from heppcat import (
     update_v_rootfind,
     v_coefficients,
 )
+from heppcat import _blas
 from heppcat.cli import main, parse_feature_blocks
 from heppcat.errors import NumericalError
 
@@ -118,6 +119,25 @@ def test_fit_same_seed_is_byte_identical(tmp_path):
         ]) == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_fit_output_does_not_depend_on_blas_threads(tmp_path, capsys):
+    # at 100 x 200 two OpenBLAS threads round differently from one
+    sim = tmp_path / "sim"
+    assert run([
+        "simulate", "--d", 100, "--k", 2, "--lambdas", "4,1", "--group-sizes", "50,150",
+        "--variances", "1,4", "--seed", 3, "--out", sim,
+    ]) == 0
+    outs = []
+    for n in (2, 1):
+        with _blas.pinned(n):
+            before = _blas.thread_counts()
+            path = tmp_path / f"m{n}.json"
+            assert run(["fit", "--data", sim / "data.csv", "--rank", 2, "--out", path]) == 0
+            assert _blas.thread_counts() == before
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
+    capsys.readouterr()
 
 
 def test_fit_trace_excludes_wall_times(tmp_path):

@@ -1,8 +1,11 @@
 """Round-trip and validation tests for dataset CSV and model JSON files."""
 
+import csv
+
 import numpy as np
 import pytest
 
+import heppcat.dataio as dataio
 from heppcat import (
     FitConfig,
     GroupedData,
@@ -67,6 +70,11 @@ def test_label_count_validation(rng, tmp_path):
         ("group,f1,f2\ng1,1.0\n", "line 2"),
         ("group,f1,f2\ng1,1.0,2.0\ng1,3.0,oops\n", "line 3"),
         ("group,f1,f2\n", "no data rows"),
+        ("group,f1\ng1,1.0\ng1,\n", "line 3: non-numeric"),
+        ("group,f1\ng1,1.0\ng1,2.0#c\n", "line 3: non-numeric"),
+        ("group,f1\na,1.0\n\nb,2.0\na,3.0\nb,oops\n", "line 6: non-numeric"),
+        ("group,f1,f2\r\ng1,1.0,2.0\r\ng2,3.0\r\n", "line 3: expected 3 fields"),
+        ('group,"f1,f2"\ng1,1.0,2.0\n', "line 2: expected 2 fields"),
     ],
 )
 def test_malformed_csv_errors_name_the_line(tmp_path, text, match):
@@ -128,3 +136,89 @@ def test_groups_need_not_be_contiguous(tmp_path):
     assert labels == ("a", "b")
     assert np.array_equal(data.blocks[0], np.array([[1.0, 3.0]]))
     assert np.array_equal(data.blocks[1], np.array([[2.0, 4.0]]))
+
+
+def _no_fallback(path):
+    raise AssertionError("a well-formed file reached the per-value float() loop")
+
+
+def _reference_csv(path, data, labels):
+    """The csv.writer + repr writer that write_dataset must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["group"] + [f"f{j + 1}" for j in range(data.d)])
+        for label, block in zip(labels, data.blocks):
+            for i in range(block.shape[1]):
+                w.writerow([label] + [repr(float(x)) for x in block[:, i]])
+
+
+@pytest.mark.parametrize("labels", [["plain", "", "a,b", 'say "hi"'], ['say "hi"', "", "x", "y"]])
+def test_write_dataset_matches_reference_writer(rng, tmp_path, labels):
+    _, data = random_model_and_data(rng, d=5, k=2, L=4, n_per_group=(7, 1, 12, 3))
+    blocks = [B * 10.0 ** rng.integers(-300, 300, size=B.shape) for B in data.blocks]
+    blocks[1][:, 0] = [-0.0, 5e-324, 1e16, 2.2250738585072014e-308, -1.7976931348623157e308]
+    data = GroupedData(blocks)
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_dataset(new, data, labels=labels)
+    _reference_csv(ref, data, labels)
+    assert new.read_bytes() == ref.read_bytes()
+    back, back_labels = read_dataset(new)
+    assert back_labels == tuple(labels)
+    for A, B in zip(back.blocks, data.blocks):
+        assert A.tobytes() == B.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "5e-324",
+        "2.2250738585072014e-308",
+        "2.2250738585072011e-308",
+        "0.30000000000000004",
+        "1.2345678901234567e-89",
+        "9007199254740993",
+        "1e16",
+        "-0.0",
+        "1.7976931348623157e308",
+        "1e-400",
+        "  +8.5e2 ",
+    ],
+)
+def test_values_parse_bit_identical_to_float(tmp_path, monkeypatch, text):
+    monkeypatch.setattr(dataio, "_read_rows", _no_fallback)
+    path = tmp_path / "hard.csv"
+    path.write_text(f"group,f1,f2\ng1,{text},1.0\ng1,0.5,{text}\n")
+    data, _ = read_dataset(path)
+    want = np.float64(float(text)).tobytes()
+    assert data.blocks[0][0, 0].tobytes() == want
+    assert data.blocks[0][1, 1].tobytes() == want
+
+
+def test_well_formed_files_never_reach_the_fallback(rng, tmp_path, monkeypatch):
+    _, data = random_model_and_data(rng, d=6, k=2, L=3, n_per_group=(4, 9, 1))
+    path = tmp_path / "data.csv"
+    write_dataset(path, data, labels=["x", "y y", "-"])
+    monkeypatch.setattr(dataio, "_read_rows", _no_fallback)
+    back, labels = read_dataset(path)
+    assert labels == ("x", "y y", "-")
+    for A, B in zip(back.blocks, data.blocks):
+        assert np.array_equal(A, B)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_line_ends_and_blank_lines(tmp_path, end):
+    path = tmp_path / "data.csv"
+    lines = ["group,f1,f2", "", "a,1.0,2.0", "b,3.0,4.0", "", "", "a,5.0,6.0", ""]
+    path.write_bytes(end.join(lines).encode())
+    data, labels = read_dataset(path)
+    assert labels == ("a", "b")
+    assert np.array_equal(data.blocks[0], [[1.0, 5.0], [2.0, 6.0]])
+    assert np.array_equal(data.blocks[1], [[3.0], [4.0]])
+
+
+def test_values_numpy_rejects_still_parse(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text('group,f1,f2\n"a",1_0,2.0\na,"3.5",4.0\n')
+    data, labels = read_dataset(path)
+    assert labels == ("a",)
+    assert np.array_equal(data.blocks[0], [[10.0, 3.5], [2.0, 4.0]])
