@@ -11,7 +11,8 @@ Library layout:
 - ``metrics``: estimation-quality metrics
 - ``dataio``: CSV/JSON readers and writers for datasets and fitted models
 - ``benchmark``: Monte Carlo sweeps, landscape studies, surrogate curves
-- ``cli``: command-line entry points (simulate/fit/benchmark/landscape/minorizers)
+- ``cli``: command-line entry points
+  (simulate/fit/benchmark/landscape/train-test/minorizers)
 """
 
 from .baselines import ppca_closed_form, weighted_pca

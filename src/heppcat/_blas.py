@@ -13,6 +13,7 @@ missing, nothing is changed.
 from __future__ import annotations
 
 import contextlib
+import functools
 
 # (get, set) symbol names: numpy/scipy wheel builds, then system builds;
 # the 64_ suffix marks a 64-bit-integer interface
@@ -23,15 +24,21 @@ _SYMBOLS = tuple(
 )
 
 
-def _openblas_handles() -> list:
-    """(get, set) thread-count functions, one pair per loaded OpenBLAS."""
+@functools.cache
+def _openblas_handles() -> tuple:
+    """(get, set) thread-count functions, one pair per loaded OpenBLAS.
+
+    Found once per process: importing heppcat loads numpy's and scipy's
+    OpenBLAS (``model`` imports ``scipy.linalg``) before any call, so no
+    library appears after the first scan.
+    """
     import ctypes
 
     try:
         with open("/proc/self/maps") as f:
             fields = [line.split() for line in f]
     except OSError:
-        return []
+        return ()
     paths = sorted(
         {p[5] for p in fields if len(p) >= 6 and "openblas" in p[5].rsplit("/", 1)[-1]}
     )
@@ -48,7 +55,7 @@ def _openblas_handles() -> list:
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 handles.append((get, set_))
                 break
-    return handles
+    return tuple(handles)
 
 
 def thread_counts() -> tuple:

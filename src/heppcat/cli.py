@@ -2,6 +2,7 @@
 
 Subcommands: ``simulate`` (planted datasets), ``fit`` (one model),
 ``benchmark`` (Monte Carlo sweeps), ``landscape`` (multi-start study),
+``train-test`` (reconstruction error on train/test splits),
 ``minorizers`` (surrogate curve dump).  Exit codes: 0 success or
 converged, 2 usage error, 3 iteration budget exhausted (outputs still
 written), 4 numerical failure.
@@ -28,6 +29,8 @@ from .model import GroupedData
 from .simgen import TruthModel, generate, haar_orthonormal, rng_stream
 
 __all__ = ["main"]
+
+_METRIC_FIELDS = ["trial", "sigma2", "method", "metric", "value"]
 
 
 def _floats(text: str) -> list:
@@ -185,14 +188,8 @@ def cmd_fit(args) -> int:
         loglik=result.trace.loglik[-1],
         config_echo=echo,
         seed=args.seed,
+        trace=result.trace if args.trace else None,
     )
-    if args.trace:
-        # wall-times stay out of the artifact so reruns are byte-identical
-        rec["trace"] = {
-            "loglik": result.trace.loglik.tolist(),
-            "f_change": result.trace.f_change.tolist(),
-            "v": result.trace.v.tolist(),
-        }
     write_json(args.out, rec)
     status = "converged" if result.converged else "max-iters reached"
     print(
@@ -213,7 +210,7 @@ def cmd_benchmark(args) -> int:
         methods=args.methods,
         seed=args.seed,
     )
-    write_rows(args.out, ["trial", "sigma2", "method", "metric", "value"], rows)
+    write_rows(args.out, _METRIC_FIELDS, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     _print_summary(rows, ("sigma2", "method", "metric"))
     return 0
@@ -234,11 +231,35 @@ def cmd_landscape(args) -> int:
     fields = ["sigma2_squared", "method", "init", "run", "iteration", "loglik", "gap", "converged"]
     write_rows(args.out, fields, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
-    finals = [r for r in rows if r["converged"]]
-    if finals:
-        _print_summary(
-            [r for r in finals if r["iteration"] == 0], ("sigma2_squared", "method", "init"), "gap"
-        )
+    # each run's rows come in iteration order, so its last row is final
+    finals: dict = {}
+    starts: dict = {}
+    for r in rows:
+        key = (r["sigma2_squared"], r["method"])
+        finals.setdefault(key, {})[(r["init"], r["run"])] = r
+        if r["init"] == "ppca" and r["iteration"] == 0:
+            starts[key] = r["gap"]
+    header = ["sigma2_squared", "method", "runs", "converged", "worst_final_gap", "ppca_start_gap"]
+    print("  ".join(f"{h:>15s}" for h in header))
+    for key, runs in sorted(finals.items()):
+        gaps = [r["gap"] for r in runs.values() if r["converged"]]
+        worst = max(gaps) if gaps else float("nan")
+        cells = [f"{key[0]:>15g}", f"{key[1]:>15}", f"{len(runs):>15d}", f"{len(gaps):>15d}"]
+        print("  ".join(cells + [f"{worst:15.3e}", f"{starts[key]:15.3e}"]))
+    return 0
+
+
+def cmd_train_test(args) -> int:
+    rows = bench.train_test_nrmse(
+        sigma2=args.sigma2,
+        trials=args.trials,
+        rank=args.rank,
+        fraction=args.fraction,
+        seed=args.seed,
+    )
+    write_rows(args.out, _METRIC_FIELDS, rows)
+    print(f"wrote {args.out} ({len(rows)} rows)")
+    _print_summary(rows, ("method", "metric"))
     return 0
 
 
@@ -322,6 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
     land.add_argument("--seed", type=int, default=0)
     land.add_argument("--out", default="gaps.csv")
     land.set_defaults(func=cmd_landscape)
+
+    tt = sub.add_parser(
+        "train-test", help="reconstruction error of fits trained on half of each group"
+    )
+    tt.add_argument("--sigma2", type=float, default=2.0)
+    tt.add_argument("--trials", type=int, default=20)
+    tt.add_argument("--rank", type=int, default=3)
+    tt.add_argument("--fraction", type=float, default=0.5)
+    tt.add_argument("--seed", type=int, default=0)
+    tt.add_argument("--out", default="nrmse.csv")
+    tt.set_defaults(func=cmd_train_test)
 
     mino = sub.add_parser("minorizers", help="dump objective and surrogate curves per group")
     mino.add_argument("--data", required=True)

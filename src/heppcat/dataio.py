@@ -152,7 +152,11 @@ def read_json(path) -> dict:
 
 
 def model_record(model: FactorModel, loglik: float, config_echo: dict, seed, trace=None) -> dict:
-    """Assemble the model JSON document."""
+    """Assemble the model JSON document.
+
+    ``trace`` adds the per-iteration history; its wall times stay out,
+    so reruns write identical bytes.
+    """
     rec = {
         "schema_version": SCHEMA_VERSION,
         "d": model.d,
@@ -168,7 +172,6 @@ def model_record(model: FactorModel, loglik: float, config_echo: dict, seed, tra
         rec["trace"] = {
             "loglik": trace.loglik.tolist(),
             "f_change": trace.f_change.tolist(),
-            "seconds": trace.seconds.tolist(),
         }
         if trace.v is not None:
             rec["trace"]["v"] = trace.v.tolist()

@@ -10,7 +10,7 @@ traces are nondecreasing up to rounding.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +103,12 @@ class FitConfig:
 
 @dataclass
 class FitTrace:
-    """Per-iteration history; index 0 of ``loglik``/``v`` is the initial model."""
+    """Per-iteration history; index 0 of ``loglik``/``v`` is the initial model.
+
+    ``seconds[i]`` is the wall time of iteration ``i + 1`` under either
+    block rule: its block updates, the factor change and the likelihood
+    of the updated model.
+    """
 
     loglik: np.ndarray
     f_change: np.ndarray
@@ -148,7 +153,7 @@ def _v_pass(data: GroupedData, model: FactorModel, method: str) -> FactorModel:
     for l, (B, n, energy) in enumerate(zip(data.blocks, data.group_sizes, data.energies)):
         c = v_coefficients(B, model, n_samples=n, energy=energy)
         v_new[l] = update_v(method, c, model.v[l])
-    return replace(model, v=v_new)
+    return FactorModel(model.F, v_new)
 
 
 def _relative_change(F_new: np.ndarray, F_old: np.ndarray) -> float:
@@ -186,7 +191,6 @@ def fit(data: GroupedData, cfg: FitConfig) -> FitResult:
                 F_prev = model.F
                 model = em_update_F(data, model)
                 model = _v_pass(data, model, cfg.v_method)
-                dt = time.perf_counter() - t0
                 rel = _relative_change(model.F, F_prev)
                 ll = log_likelihood_parts(data, model)
             else:
@@ -199,13 +203,12 @@ def fit(data: GroupedData, cfg: FitConfig) -> FitResult:
                     model, ll = cand_f, ll_f
                 else:
                     model, ll = cand_v, ll_v
-                dt = time.perf_counter() - t0
         except NumericalError as err:
             raise NumericalError(f"iteration {iterations + 1}: {err}") from err
+        seconds.append(time.perf_counter() - t0)
         iterations += 1
         loglik.append(ll)
         f_change.append(rel)
-        seconds.append(dt)
         if v_hist is not None:
             v_hist.append(model.v.copy())
         stop = rel <= cfg.tol

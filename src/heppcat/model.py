@@ -121,8 +121,9 @@ class GroupedData:
 
 @dataclass
 class FactorModel:
-    """Factor matrix, per-group noise variances, and a cached thin SVD.
+    """Factor matrix, per-group noise variances, and their thin SVD.
 
+    The SVD is computed from ``F`` on construction:
     ``F = U diag(sqrt(lam)) Vt`` with ``lam`` the squared singular values
     in nonincreasing order.  Columns of ``U`` are sign-normalized so the
     largest-magnitude entry of each is positive.  ``v`` holds one noise
@@ -132,9 +133,9 @@ class FactorModel:
 
     F: np.ndarray
     v: np.ndarray
-    U: np.ndarray = None
-    lam: np.ndarray = None
-    Vt: np.ndarray = None
+    U: np.ndarray = field(init=False)
+    lam: np.ndarray = field(init=False)
+    Vt: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.F = np.ascontiguousarray(self.F, dtype=float)
@@ -147,24 +148,9 @@ class FactorModel:
             raise ValueError("non-finite model parameters")
         if np.any(self.v < 0):
             raise ValueError("negative noise variance")
-        if self.U is None:
-            U, s, Vt = np.linalg.svd(self.F, full_matrices=False)
-            self.U, self.Vt = normalize_column_signs(U, Vt)
-            self.lam = s**2
-        self._validate_cache()
-
-    def _validate_cache(self):
-        U, lam, Vt = self.U, self.lam, self.Vt
-        k = self.F.shape[1]
-        if U.shape != self.F.shape or lam.shape != (k,) or Vt.shape != (k, k):
-            raise ValueError("SVD cache has inconsistent shapes")
-        if np.any(lam < 0) or np.any(np.diff(lam) > 1e-12 * max(1.0, lam[0] if k else 1.0)):
-            raise ValueError("lam must be nonnegative and nonincreasing")
-        if not np.allclose(U.T @ U, np.eye(k), atol=1e-10):
-            raise ValueError("U columns are not orthonormal")
-        R = U @ (np.sqrt(lam)[:, None] * Vt)
-        if np.linalg.norm(R - self.F) > 1e-10 * (1.0 + np.linalg.norm(self.F)):
-            raise ValueError("SVD cache does not reconstruct F")
+        U, s, Vt = np.linalg.svd(self.F, full_matrices=False)
+        self.U, self.Vt = normalize_column_signs(U, Vt)
+        self.lam = s**2
 
     @property
     def d(self) -> int:

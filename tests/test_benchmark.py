@@ -122,6 +122,28 @@ def test_tasks_run_on_one_blas_thread(monkeypatch):
         assert _blas.thread_counts() == before
 
 
+def test_pinned_finds_libraries_once(monkeypatch):
+    with _blas.pinned(1):
+        pass
+    before = _blas.thread_counts()
+    if not before:
+        pytest.skip("no OpenBLAS loaded")
+    real_open = open
+
+    def no_maps(path, *args, **kwargs):
+        if str(path) == "/proc/self/maps":
+            raise OSError("unreadable")
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", no_maps)
+    with _blas.pinned(2):
+        inside = _blas.thread_counts()
+    after = _blas.thread_counts()
+    monkeypatch.undo()
+    assert inside == (2,) * len(before)
+    assert after == before
+
+
 def test_fig6_metric_names_and_clustering():
     rows = run_benchmark("fig6-blocks", trials=1, sigma_grid=(2.0,), seed=0)
     metrics = {r["metric"] for r in rows}

@@ -1,6 +1,9 @@
 """End-to-end command-line tests driven through ``heppcat.cli.main``."""
 
 import csv
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -9,12 +12,14 @@ from heppcat import (
     init_ppca,
     read_dataset,
     read_json,
+    train_test_nrmse,
     univariate_objective,
     update_v_rootfind,
     v_coefficients,
+    write_rows,
 )
 from heppcat import _blas
-from heppcat.cli import main, parse_feature_blocks
+from heppcat.cli import build_parser, main, parse_feature_blocks
 from heppcat.errors import NumericalError
 
 
@@ -321,5 +326,41 @@ def test_cli_help_lists_subcommands(capsys):
         run(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for name in ("simulate", "fit", "benchmark", "landscape", "minorizers"):
+    for name in ("simulate", "fit", "benchmark", "landscape", "train-test", "minorizers"):
         assert name in out
+
+
+def test_train_test_cli(tmp_path, capsys):
+    out = tmp_path / "nrmse.csv"
+    assert run(["train-test", "--sigma2", 1.5, "--trials", 2, "--rank", 2,
+                "--fraction", 0.4, "--seed", 2, "--out", out]) == 0
+    assert "nrmse_test" in capsys.readouterr().out
+    ref = tmp_path / "ref.csv"
+    rows = train_test_nrmse(sigma2=1.5, trials=2, rank=2, fraction=0.4, seed=2)
+    write_rows(ref, ["trial", "sigma2", "method", "metric", "value"], rows)
+    assert out.read_bytes() == ref.read_bytes()
+    assert run(["train-test", "--fraction", 1.5, "--out", tmp_path / "bad.csv"]) == 2
+    assert "fraction" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """Every ``heppcat`` command in the README's code blocks, with
+    backslash continuations joined and ``for x in ...; do ...; done``
+    loops expanded."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            loop = re.fullmatch(r"\s*for (\w+) in ([^;]+); do (.+?);? done\s*", line)
+            if loop:
+                var, values, body = loop.groups()
+                yield from (body.replace(f"${var}", value) for value in values.split())
+            elif line.lstrip().startswith("heppcat "):
+                yield line
+
+
+def test_readme_commands_parse():
+    parser = build_parser()
+    seen = set()
+    for command in _readme_commands():
+        seen.add(parser.parse_args(shlex.split(command)[1:]).command)
+    assert seen == {"simulate", "fit", "benchmark", "landscape", "train-test", "minorizers"}

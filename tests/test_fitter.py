@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,23 @@ def test_trace_shapes_and_semantics():
     assert r.trace.loglik[0] == pytest.approx(init_ll)
     assert r.trace.f_change[-1] <= 1e-8
     assert np.all(r.trace.seconds >= 0)
+
+
+def test_trace_seconds_include_the_likelihood(monkeypatch):
+    import heppcat.fitter as fitmod
+
+    real = fitmod.log_likelihood_parts
+
+    def slow(data, model):
+        time.sleep(0.002)
+        return real(data, model)
+
+    monkeypatch.setattr(fitmod, "log_likelihood_parts", slow)
+    data, _ = two_group_data()
+    for rule in ("alternate", "max_improvement"):
+        r = fit(data, FitConfig(rank=2, max_iters=5, tol=0.0, block_rule=rule))
+        assert len(r.trace.seconds) == 5
+        assert np.all(r.trace.seconds >= 0.002), rule
 
 
 def test_trace_without_v_history():

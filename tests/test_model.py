@@ -80,12 +80,6 @@ class TestFactorModel:
         with pytest.raises(ValueError):
             FactorModel(np.full((3, 1), np.inf), [1.0])
 
-    def test_inconsistent_cache_rejected(self, rng):
-        F = rng.standard_normal((5, 2))
-        good = FactorModel(F, [1.0])
-        with pytest.raises(ValueError):
-            FactorModel(F, [1.0], U=good.U, lam=good.lam + 1.0, Vt=good.Vt)
-
 
 def test_normalize_column_signs_preserves_product(rng):
     A = rng.standard_normal((6, 3))
