@@ -15,11 +15,7 @@ _DEGENERATE_RTOL = 1e-12
 
 
 def _pooled_spectrum(data: GroupedData):
-    S = np.zeros((data.d, data.d))
-    for B in data.blocks:
-        S += B @ B.T
-    S /= data.n
-    w, Q = np.linalg.eigh(S)
+    w, Q = np.linalg.eigh((data.Y @ data.Y.T) / data.n)
     return w[::-1], normalize_column_signs(Q[:, ::-1])
 
 
@@ -67,8 +63,5 @@ def weighted_pca(data: GroupedData, weights, k: int) -> np.ndarray:
     k = int(k)
     if not 1 <= k <= data.d:
         raise ValueError("need 1 <= k <= d")
-    S = np.zeros((data.d, data.d))
-    for wl, B in zip(weights, data.blocks):
-        S += wl * (B @ B.T)
-    w, Q = np.linalg.eigh(S)
+    w, Q = np.linalg.eigh((data.Y * weights[data.groups]) @ data.Y.T)
     return normalize_column_signs(Q[:, ::-1][:, :k])

@@ -127,12 +127,10 @@ def _fit_heppcat(data: GroupedData, v_method: str, rank: int = PRESET_K) -> Fact
 
 def _split_into_blocks(data: GroupedData, block: int) -> GroupedData:
     """Regroup samples into consecutive blocks of the given size."""
-    pieces = []
-    for B, n in zip(data.blocks, data.group_sizes):
+    for n in data.group_sizes:
         if n % block != 0:
             raise ValueError(f"block size {block} does not divide group size {n}")
-        pieces.extend(B[:, i : i + block] for i in range(0, n, block))
-    return GroupedData(pieces)
+    return GroupedData.from_samples(data.Y, [block] * (data.n // block))
 
 
 def _recovery_rows(U_hat: np.ndarray, truth: TruthModel) -> list:
@@ -381,7 +379,7 @@ def train_test_nrmse(
             "heppcat": _fit_heppcat(train, v_method, rank).U,
             "ppca-full": ppca_closed_form(train, rank).U,
         }
-        pooled = {"train": np.hstack(train.blocks), "test": np.hstack(test.blocks)}
+        pooled = {"train": train.Y, "test": test.Y}
         for method, U in bases.items():
             for split, Y in pooled.items():
                 rows.append(

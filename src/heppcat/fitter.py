@@ -5,6 +5,11 @@ noise-variance update per group (``alternate``), or greedily applies
 whichever single-block update gains more likelihood
 (``max_improvement``).  Both blocks never decrease the likelihood, so
 traces are nondecreasing up to rounding.
+
+An iteration computes one SVD, of the updated factors, and one
+coefficient pass, a single ``U'Y`` projection.  The noise update keeps
+``U`` and ``lam``, so its model keeps the SVD and the iteration's
+likelihood comes from the same coefficients.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import numpy as np
 from . import baselines
 from .errors import NumericalError
 from .fupdate import em_update_F
-from .model import FactorModel, GroupedData, log_likelihood_parts, v_coefficients
+from .model import FactorModel, GroupedData, coefficient_loglik, group_coefficients, log_likelihood_parts
+from .model import v_coefficients  # noqa: F401  (perfbench's tracer wraps it here)
 from .vupdate import V_METHODS, update_v
 
 __all__ = ["FitConfig", "FitTrace", "FitResult", "init_ppca", "init_random", "fit"]
@@ -148,12 +154,11 @@ def _initial_model(data: GroupedData, cfg: FitConfig) -> FactorModel:
     return init_random(data.d, cfg.rank, data.L, cfg.seed)
 
 
-def _v_pass(data: GroupedData, model: FactorModel, method: str) -> FactorModel:
-    v_new = np.empty(model.L)
-    for l, (B, n, energy) in enumerate(zip(data.blocks, data.group_sizes, data.energies)):
-        c = v_coefficients(B, model, n_samples=n, energy=energy)
-        v_new[l] = update_v(method, c, model.v[l])
-    return FactorModel(model.F, v_new)
+def _v_pass(data: GroupedData, model: FactorModel, method: str):
+    """Update every variance; returns the new model and its coefficients."""
+    coefs = group_coefficients(data, model)
+    v_new = np.array([update_v(method, coefs.group(l), v) for l, v in enumerate(model.v)])
+    return model._with_v(v_new), coefs
 
 
 def _relative_change(F_new: np.ndarray, F_old: np.ndarray) -> float:
@@ -189,20 +194,16 @@ def fit(data: GroupedData, cfg: FitConfig) -> FitResult:
         try:
             if cfg.block_rule == "alternate":
                 F_prev = model.F
-                model = em_update_F(data, model)
-                model = _v_pass(data, model, cfg.v_method)
+                model, coefs = _v_pass(data, em_update_F(data, model), cfg.v_method)
                 rel = _relative_change(model.F, F_prev)
-                ll = log_likelihood_parts(data, model)
+                ll = coefficient_loglik(coefs, data.counts, model.v)
             else:
                 cand_f = em_update_F(data, model)
-                cand_v = _v_pass(data, model, cfg.v_method)
+                cand_v, coefs = _v_pass(data, model, cfg.v_method)
                 ll_f = log_likelihood_parts(data, cand_f)
-                ll_v = log_likelihood_parts(data, cand_v)
+                ll_v = coefficient_loglik(coefs, data.counts, cand_v.v)
                 rel = _relative_change(cand_f.F, model.F)
-                if ll_f >= ll_v:
-                    model, ll = cand_f, ll_f
-                else:
-                    model, ll = cand_v, ll_v
+                model, ll = (cand_f, ll_f) if ll_f >= ll_v else (cand_v, ll_v)
         except NumericalError as err:
             raise NumericalError(f"iteration {iterations + 1}: {err}") from err
         seconds.append(time.perf_counter() - t0)

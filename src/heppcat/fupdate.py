@@ -22,7 +22,7 @@ def em_update_F(data: GroupedData, model: FactorModel) -> FactorModel:
 
         ``F+ = (sum_l Y_l Z_l' / v_l) (sum_l Z_l Z_l' / v_l + n_l D_l)^{-1} Vt``
 
-    at O(k d n) cost.  The noise variances are carried over unchanged.
+    at O(k d n) cost over the stacked ``data.Y``.  Variances carry over.
 
     Raises
     ------
@@ -36,16 +36,11 @@ def em_update_F(data: GroupedData, model: FactorModel) -> FactorModel:
     if np.any(model.v <= 0):
         raise ValueError("factor update requires strictly positive variances")
     U, lam, Vt = model.U, model.lam, model.Vt
-    d, k = U.shape
-    sql = np.sqrt(lam)
-    A = np.zeros((d, k))
-    N = np.zeros((k, k))
-    for B, n, v in zip(data.blocks, data.group_sizes, model.v):
-        dl = 1.0 / (lam + v)
-        Z = (dl * sql)[:, None] * (U.T @ B)
-        A += (B @ Z.T) / v
-        N += (Z @ Z.T) / v
-        N[np.diag_indices(k)] += n * dl
+    D = 1.0 / (lam + model.v[:, None])
+    Z = (D * np.sqrt(lam))[data.groups].T * (U.T @ data.Y)
+    Zw = Z / model.v[data.groups]
+    A = data.Y @ Zw.T
+    N = Zw @ Z.T + np.diag(data.counts @ D)
     N = 0.5 * (N + N.T)
     w = np.linalg.eigvalsh(N)
     if w[0] <= 0 or w[0] < _RCOND_FLOOR * w[-1]:
@@ -65,11 +60,8 @@ def compress_gram(data: GroupedData) -> GroupedData:
     """
     blocks = []
     for B in data.blocks:
-        d, m = B.shape
-        if m <= d:
-            blocks.append(B)
-            continue
-        w, Q = np.linalg.eigh(B @ B.T)
-        w = np.maximum(w[::-1], 0.0)
-        blocks.append(Q[:, ::-1] * np.sqrt(w))
+        if B.shape[1] > B.shape[0]:
+            w, Q = np.linalg.eigh(B @ B.T)
+            B = Q[:, ::-1] * np.sqrt(np.maximum(w[::-1], 0.0))
+        blocks.append(B)
     return GroupedData(blocks, group_sizes=data.group_sizes)

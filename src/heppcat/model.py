@@ -8,6 +8,7 @@ constant and use natural log.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -63,42 +64,54 @@ class GroupedData:
         column counts; it exceeds them after Gram compression, which
         replaces a block by a thinner matrix with the same outer product.
 
-    Values are treated as immutable once constructed, so the energy
-    ``||Y_l||_F^2`` of each block is computed once, into ``energies``.
+    The blocks are stacked once into a ``d x M`` matrix ``Y`` and
+    ``blocks`` become views of it.  ``starts[l]`` is group ``l``'s first
+    column, ``groups[j]`` column ``j``'s group, ``counts`` the sample
+    counts as floats and ``energies`` each group's ``||Y_l||_F^2``, so a
+    pass over the data is a whole-matrix product plus segment sums.
     """
 
     blocks: list
     group_sizes: tuple = None
-    energies: tuple = field(init=False, repr=False, compare=False)
+    Y: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    groups: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    energies: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.blocks) == 0:
+        blocks = [np.asarray(B, dtype=float) for B in self.blocks]
+        if not blocks:
             raise ValueError("need at least one group")
-        self.blocks = [np.ascontiguousarray(B, dtype=float) for B in self.blocks]
-        d = self.blocks[0].shape[0] if self.blocks[0].ndim == 2 else -1
-        for i, B in enumerate(self.blocks):
+        d = blocks[0].shape[0] if blocks[0].ndim == 2 else -1
+        for i, B in enumerate(blocks):
             if B.ndim != 2 or B.shape[0] != d or d < 1:
                 raise ValueError(f"group {i}: expected a matrix with {d} rows, got shape {B.shape}")
             if B.shape[1] < 1:
                 raise ValueError(f"group {i}: empty sample block")
-            if not np.all(np.isfinite(B)):
-                raise ValueError(f"group {i}: non-finite entries")
-        if self.group_sizes is None:
-            self.group_sizes = tuple(B.shape[1] for B in self.blocks)
-        else:
-            self.group_sizes = tuple(int(n) for n in self.group_sizes)
-            if len(self.group_sizes) != len(self.blocks):
-                raise ValueError("group_sizes length does not match blocks")
-            for i, (n, B) in enumerate(zip(self.group_sizes, self.blocks)):
-                if n < 1:
-                    raise ValueError(f"group {i}: sample count must be >= 1")
-                if B.shape[1] > n:
-                    raise ValueError(f"group {i}: block has more columns than samples")
-        self.energies = tuple(float(np.einsum("ij,ij->", B, B)) for B in self.blocks)
+        widths = [B.shape[1] for B in blocks]
+        # a C-ordered Y whatever the blocks' layout, so results do not depend on it
+        self.Y = np.concatenate(blocks, axis=1, out=np.empty((d, sum(widths))))
+        self.starts = np.cumsum([0] + widths[:-1])
+        self.groups = np.repeat(np.arange(len(widths)), widths)
+        finite = np.isfinite(self.Y).all(axis=0)
+        if not finite.all():
+            raise ValueError(f"group {self.groups[finite.argmin()]}: non-finite entries")
+        self.group_sizes = tuple(int(n) for n in (widths if self.group_sizes is None else self.group_sizes))
+        if len(self.group_sizes) != len(widths):
+            raise ValueError("group_sizes length does not match blocks")
+        for i, (n, m) in enumerate(zip(self.group_sizes, widths)):
+            if n < 1:
+                raise ValueError(f"group {i}: sample count must be >= 1")
+            if m > n:
+                raise ValueError(f"group {i}: block has more columns than samples")
+        self.counts = np.array(self.group_sizes, dtype=float)
+        self.blocks = [self.Y[:, a : a + m] for a, m in zip(self.starts, widths)]
+        self.energies = np.add.reduceat(np.einsum("ij,ij->j", self.Y, self.Y), self.starts)
 
     @property
     def d(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.Y.shape[0]
 
     @property
     def L(self) -> int:
@@ -115,8 +128,7 @@ class GroupedData:
         sizes = [int(n) for n in group_sizes]
         if sum(sizes) != Y.shape[1]:
             raise ValueError("group sizes must sum to the number of columns")
-        edges = np.cumsum([0] + sizes)
-        return cls([Y[:, a:b] for a, b in zip(edges[:-1], edges[1:])])
+        return cls(np.split(Y, np.cumsum(sizes)[:-1], axis=1))
 
 
 @dataclass
@@ -128,7 +140,9 @@ class FactorModel:
     in nonincreasing order.  Columns of ``U`` are sign-normalized so the
     largest-magnitude entry of each is positive.  ``v`` holds one noise
     variance per group; zeros are legal only as outputs of the exact
-    zero-residual branch of the noise updates.
+    zero-residual branch of the noise updates.  ``spectral_terms`` holds
+    the noise-objective coefficients shared by all groups:
+    ``(alpha, gamma, zero_set)`` of :class:`VCoefficients`.
     """
 
     F: np.ndarray
@@ -136,6 +150,7 @@ class FactorModel:
     U: np.ndarray = field(init=False)
     lam: np.ndarray = field(init=False)
     Vt: np.ndarray = field(init=False)
+    spectral_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.F = np.ascontiguousarray(self.F, dtype=float)
@@ -151,6 +166,15 @@ class FactorModel:
         U, s, Vt = np.linalg.svd(self.F, full_matrices=False)
         self.U, self.Vt = normalize_column_signs(U, Vt)
         self.lam = s**2
+        gamma = np.concatenate(([0.0], self.lam))
+        zero_set = gamma <= ZERO_EIGENVALUE_RTOL * max(1.0, float(gamma.max()))
+        self.spectral_terms = (np.array([self.d - self.k] + [1.0] * self.k), gamma, zero_set)
+
+    def _with_v(self, v: np.ndarray) -> "FactorModel":
+        """The same factors and SVD with new variances ``v``, unchecked."""
+        out = copy.copy(self)
+        out.v = v
+        return out
 
     @property
     def d(self) -> int:
@@ -178,6 +202,10 @@ class VCoefficients:
     (``alpha_j = 1``, ``gamma_j = lam_j``).  ``zero_set`` masks indices
     whose ``gamma_j`` is an exact zero at working precision and
     ``beta_tilde`` is their total energy.
+
+    Inputs are checked when a caller builds one.  :func:`group_coefficients`
+    builds them unchecked for all groups at once, with one row of ``beta``
+    and one entry of ``beta_tilde`` per group; :meth:`group` picks one.
     """
 
     alpha: np.ndarray
@@ -200,6 +228,16 @@ class VCoefficients:
         self.zero_set = self.gamma <= ZERO_EIGENVALUE_RTOL * max(1.0, float(self.gamma.max()))
         self.beta_tilde = float(self.beta[self.zero_set].sum())
 
+    @classmethod
+    def _unchecked(cls, alpha, beta, gamma, zero_set, beta_tilde) -> "VCoefficients":
+        c = cls.__new__(cls)
+        c.alpha, c.beta, c.gamma, c.zero_set, c.beta_tilde = alpha, beta, gamma, zero_set, beta_tilde
+        return c
+
+    def group(self, l: int) -> "VCoefficients":
+        """Group ``l``'s coefficients out of an all-groups set."""
+        return self._unchecked(self.alpha, self.beta[l], self.gamma, self.zero_set, float(self.beta_tilde[l]))
+
     @property
     def k(self) -> int:
         return self.alpha.size - 1
@@ -210,47 +248,37 @@ class VCoefficients:
         return int(round(self.alpha[0])) + self.k
 
 
-def v_coefficients(
-    block: np.ndarray,
-    model: FactorModel,
-    n_samples: int | None = None,
-    energy: float | None = None,
-) -> VCoefficients:
-    """Coefficients of the noise objective for one data block.
+def group_coefficients(data: GroupedData, model: FactorModel) -> VCoefficients:
+    """Every group's noise-objective coefficients from one ``U'Y`` product.
 
-    Parameters
-    ----------
-    block : ndarray
-        ``d x m`` sample block (possibly Gram-compressed).
-    model : FactorModel
-        Supplies the factor subspace ``U`` and spectrum ``lam``.
-    n_samples : int, optional
-        Observed sample count; defaults to the column count.  Pass the
-        original count for compressed blocks.
-    energy : float, optional
-        The block's energy ``||Y||_F^2``, as held in
-        ``GroupedData.energies``; computed from the block when omitted.
-
-    The residual energy ``beta_0`` is formed by subtracting the factor
-    direction energies from ``||Y||_F^2`` and clamping at zero, avoiding
-    any d x d projector.
+    Segment sums of the projected energies give ``beta_1..k``; ``beta_0``
+    subtracts them from ``||Y_l||_F^2``, clamped at zero (no d x d
+    projector).  Dividing by ``group_sizes`` keeps compressed groups exact.
     """
-    B = np.asarray(block, dtype=float)
-    d, k = model.U.shape
-    if B.ndim != 2 or B.shape[0] != d:
+    G = model.U.T @ data.Y
+    e_dir = np.add.reduceat(G * G, data.starts, axis=1)
+    e_res = np.maximum(data.energies - e_dir.sum(axis=0), 0.0)
+    # one C-contiguous row per group, so row sums round as a group's own
+    beta = np.divide(np.concatenate((e_res[None], e_dir)).T, data.counts[:, None], order="C")
+    alpha, gamma, zero_set = model.spectral_terms
+    return VCoefficients._unchecked(alpha, beta, gamma, zero_set, beta @ zero_set)
+
+
+def v_coefficients(block: np.ndarray, model: FactorModel, n_samples: int | None = None) -> VCoefficients:
+    """Noise-objective coefficients of one ``d x m`` block under ``model``.
+
+    ``n_samples`` is the observed sample count, by default the column
+    count; pass the original count for a Gram-compressed block.
+    """
+    data = GroupedData([block], None if n_samples is None else (n_samples,))
+    if data.d != model.d:
         raise ValueError("block rows must match the model dimension")
-    n = B.shape[1] if n_samples is None else int(n_samples)
-    if n < 1:
-        raise ValueError("need at least one sample")
-    G = model.U.T @ B
-    beta_dir = np.einsum("ij,ij->i", G, G) / n
-    if energy is None:
-        energy = float(np.einsum("ij,ij->", B, B))
-    beta0 = max(energy / n - float(beta_dir.sum()), 0.0)
-    alpha = np.concatenate(([float(d - k)], np.ones(k)))
-    beta = np.concatenate(([beta0], beta_dir))
-    gamma = np.concatenate(([0.0], model.lam))
-    return VCoefficients(alpha=alpha, beta=beta, gamma=gamma)
+    return group_coefficients(data, model).group(0)
+
+
+def _objective(alpha, beta, gamma, v):
+    t = gamma + v
+    return -((alpha * np.log(t)).sum(axis=-1) + (beta / t).sum(axis=-1))
 
 
 def univariate_objective(c: VCoefficients, v: float) -> float:
@@ -260,7 +288,7 @@ def univariate_objective(c: VCoefficients, v: float) -> float:
     zero-gamma energy ``beta_tilde`` vanishes, ``-inf`` otherwise.
     """
     v = float(v)
-    if not np.isfinite(v) or v < 0:
+    if not math.isfinite(v) or v < 0:
         raise ValueError("v must be finite and nonnegative")
     if v == 0.0:
         if c.beta_tilde > 0.0:
@@ -268,10 +296,17 @@ def univariate_objective(c: VCoefficients, v: float) -> float:
         if float(c.alpha[c.zero_set].sum()) > 0.0:
             return float("inf")
         keep = ~c.zero_set
-        t = c.gamma[keep]
-        return float(-(np.sum(c.alpha[keep] * np.log(t)) + np.sum(c.beta[keep] / t)))
-    t = c.gamma + v
-    return float(-(np.sum(c.alpha * np.log(t)) + np.sum(c.beta / t)))
+        return float(_objective(c.alpha[keep], c.beta[keep], c.gamma[keep], 0.0))
+    return float(_objective(c.alpha, c.beta, c.gamma, v))
+
+
+def coefficient_loglik(coefs: VCoefficients, counts: np.ndarray, v: np.ndarray) -> float:
+    """``sum_l (n_l / 2) * univariate_objective(c_l, v_l)`` over :func:`group_coefficients`."""
+    if v.all():
+        obj = _objective(coefs.alpha, coefs.beta, coefs.gamma, v[:, None])
+    else:  # zero variances take the objective's boundary limits
+        obj = np.array([univariate_objective(coefs.group(l), vl) for l, vl in enumerate(v)])
+    return 0.5 * float(obj @ counts)
 
 
 def univariate_derivative(c: VCoefficients, v: float) -> float:
@@ -321,23 +356,4 @@ def log_likelihood_parts(data: GroupedData, model: FactorModel) -> float:
         raise ValueError("data and model dimensions differ")
     if data.L != model.L:
         raise ValueError("data and model group counts differ")
-    U, lam = model.U, model.lam
-    d, k = U.shape
-    total = 0.0
-    for l, (B, n, energy) in enumerate(zip(data.blocks, data.group_sizes, data.energies)):
-        v = float(model.v[l])
-        if v == 0.0:
-            c = v_coefficients(B, model, n_samples=n, energy=energy)
-            total += 0.5 * n * univariate_objective(c, v)
-            continue
-        G = U.T @ B
-        e_dir = np.einsum("ij,ij->i", G, G)
-        e_res = max(energy - float(e_dir.sum()), 0.0)
-        t = lam + v
-        obj = -(
-            (d - k) * math.log(v)
-            + e_res / (n * v)
-            + float(np.sum(np.log(t)) + np.sum(e_dir / t) / n)
-        )
-        total += 0.5 * n * obj
-    return total
+    return coefficient_loglik(group_coefficients(data, model), data.counts, model.v)

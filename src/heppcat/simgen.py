@@ -122,7 +122,7 @@ def generate(truth: TruthModel, seed: int, trial: int = 0) -> GroupedData:
     for l, n in enumerate(truth.group_sizes):
         rng = rng_stream(seed, 0, trial, l + 1)
         Z = rng.standard_normal((truth.k, n))
-        E = rng.standard_normal((truth.d, n))
-        E *= truth.noise_std(l)[:, None]
-        blocks.append(F @ Z + E)
+        E = rng.standard_normal((truth.d, n)) * truth.noise_std(l)[:, None]
+        E += F @ Z  # in place: the loop's last E is the last block, not a spare copy
+        blocks.append(E)
     return GroupedData(blocks)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heppcat import FactorModel, GroupedData, VCoefficients
+from heppcat import FactorModel, GroupedData, VCoefficients, compress_gram
 
 _acceptance_lines: list = []
 
@@ -39,6 +39,20 @@ def random_model_and_data(rng, d=None, k=None, L=None, n_per_group=None):
     model = FactorModel(rng.standard_normal((d, k)), rng.uniform(0.2, 3.0, size=L))
     data = GroupedData([rng.standard_normal((d, int(m))) for m in sizes])
     return model, data
+
+
+def segment_edge_cases(rng):
+    """Models and data at the edges of the stacked layout's segment sums:
+    40 groups of 1-5 columns each, and a Gram-compressed group whose
+    sample count exceeds its column count."""
+    d, k = 4, 2
+    many = GroupedData([rng.standard_normal((d, int(m))) for m in rng.integers(1, 6, size=40)])
+    compressed = compress_gram(GroupedData([rng.standard_normal((d, 3)), rng.standard_normal((d, 25))]))
+    assert compressed.blocks[1].shape[1] < compressed.group_sizes[1]
+    return [
+        (FactorModel(rng.standard_normal((d, k)), rng.uniform(0.2, 3.0, size=data.L)), data)
+        for data in (many, compressed)
+    ]
 
 
 def grid_argmax(fn, lo, hi, num=100_000):

@@ -233,3 +233,20 @@ def test_worker_count_env(monkeypatch):
 
 def test_presets_constant():
     assert PRESETS == ("fig3", "fig4", "fig5", "fig6-blocks", "fig7")
+
+
+def test_perfbench_boundaries_resolve():
+    # the per-layer tracer wraps functions by (module, attribute); a name
+    # a module stops importing would break `perfbench/run.py --trace 1`
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [(mod, attr) for mod, attr, _, _ in spans.BOUNDARIES]
+    names.append(("heppcat.benchmark", "_split_into_blocks"))
+    for mod, attr in names:
+        assert callable(getattr(importlib.import_module(mod), attr)), (mod, attr)

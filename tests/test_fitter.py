@@ -9,6 +9,7 @@ from heppcat import (
     GroupedData,
     TruthModel,
     V_METHODS,
+    compress_gram,
     fit,
     generate,
     haar_orthonormal,
@@ -76,18 +77,47 @@ def test_trace_shapes_and_semantics():
 def test_trace_seconds_include_the_likelihood(monkeypatch):
     import heppcat.fitter as fitmod
 
-    real = fitmod.log_likelihood_parts
+    # each iteration's likelihood comes from its coefficient pass
+    real = fitmod.coefficient_loglik
 
-    def slow(data, model):
+    def slow(coefs, counts, v):
         time.sleep(0.002)
-        return real(data, model)
+        return real(coefs, counts, v)
 
-    monkeypatch.setattr(fitmod, "log_likelihood_parts", slow)
+    monkeypatch.setattr(fitmod, "coefficient_loglik", slow)
     data, _ = two_group_data()
     for rule in ("alternate", "max_improvement"):
         r = fit(data, FitConfig(rank=2, max_iters=5, tol=0.0, block_rule=rule))
         assert len(r.trace.seconds) == 5
         assert np.all(r.trace.seconds >= 0.002), rule
+
+
+@pytest.mark.parametrize("rule", ["alternate", "max_improvement"])
+def test_one_svd_per_iteration(monkeypatch, rule):
+    # the spectral start's model and one updated factor matrix per
+    # iteration; the noise update keeps its model's SVD
+    calls = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    data, _ = two_group_data()
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    fit(data, FitConfig(rank=2, max_iters=5, tol=0.0, block_rule=rule))
+    assert len(calls) == 1 + 5
+
+
+@pytest.mark.parametrize("rule", ["alternate", "max_improvement"])
+@pytest.mark.parametrize("compress", [False, True])
+def test_trace_loglik_is_the_models_likelihood(rule, compress):
+    data, _ = two_group_data(sizes=(60, 8), v=(0.4, 2.5))
+    if compress:
+        data = compress_gram(data)
+        assert data.blocks[0].shape[1] < data.group_sizes[0]
+    res = fit(data, FitConfig(rank=2, v_method="cubic", max_iters=30, tol=0.0, block_rule=rule))
+    assert res.trace.loglik[-1] == log_likelihood_parts(data, res.model)
 
 
 def test_trace_without_v_history():

@@ -11,7 +11,7 @@ from heppcat import (
     log_likelihood_parts,
     v_coefficients,
 )
-from conftest import random_model_and_data
+from conftest import random_model_and_data, segment_edge_cases
 
 
 def em_update_m_form(model, data):
@@ -32,8 +32,8 @@ def em_update_m_form(model, data):
 
 
 def test_matches_m_form_oracle(rng):
-    for _ in range(100):
-        model, data = random_model_and_data(rng)
+    cases = [random_model_and_data(rng) for _ in range(100)] + segment_edge_cases(rng)
+    for model, data in cases:
         got = em_update_F(data, model).F
         want = em_update_m_form(model, data)
         assert np.linalg.norm(got - want) <= 1e-8 * (1.0 + np.linalg.norm(want))
@@ -128,8 +128,8 @@ def test_compress_preserves_gram(rng):
 
 
 def test_compress_preserves_likelihood_and_updates(rng):
-    for _ in range(20):
-        model, data = random_model_and_data(rng, L=2, n_per_group=[30, 17])
+    cases = [random_model_and_data(rng, L=2, n_per_group=[30, 17]) for _ in range(20)]
+    for model, data in cases + segment_edge_cases(rng):
         comp = compress_gram(data)
         raw_ll = log_likelihood_parts(data, model)
         comp_ll = log_likelihood_parts(comp, model)

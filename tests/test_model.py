@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from heppcat import (
     FactorModel,
     GroupedData,
+    VCoefficients,
     log_likelihood_direct,
     log_likelihood_parts,
     normalize_column_signs,
@@ -15,7 +16,7 @@ from heppcat import (
     univariate_objective,
     v_coefficients,
 )
-from conftest import random_model_and_data
+from conftest import random_model_and_data, segment_edge_cases
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +112,8 @@ def test_zero_factor_identity_noise():
 
 
 def test_direct_and_parts_agree(rng):
-    for _ in range(100):
-        model, data = random_model_and_data(rng)
+    cases = [random_model_and_data(rng) for _ in range(100)] + segment_edge_cases(rng)
+    for model, data in cases:
         a = log_likelihood_direct(data, model)
         b = log_likelihood_parts(data, model)
         assert b == pytest.approx(a, rel=1e-9)
@@ -220,12 +221,26 @@ def test_coefficients_respect_sample_count_override(rng):
     c1 = v_coefficients(B, model)
     c2 = v_coefficients(B, model, n_samples=2 * B.shape[1])
     assert np.allclose(2.0 * c2.beta, c1.beta)
-    # the cached block energy gives exactly the coefficients computed from B
-    for c, n in ((c1, None), (c2, 2 * B.shape[1])):
-        cached = v_coefficients(B, model, n_samples=n, energy=data.energies[0])
-        for name in ("alpha", "beta", "gamma", "zero_set"):
-            assert np.array_equal(getattr(cached, name), getattr(c, name))
-        assert cached.beta_tilde == c.beta_tilde
+
+
+def test_caller_built_coefficients_are_checked():
+    good = dict(alpha=[2.0, 1.0], beta=[1.0, 0.5], gamma=[0.0, 3.0])
+    VCoefficients(**good)
+    bad = [
+        dict(good, beta=[1.0, 0.5, 0.2]),  # unequal lengths
+        dict(alpha=[], beta=[], gamma=[]),  # empty vectors
+        dict(good, alpha=[2.0, np.nan]),
+        dict(good, beta=[np.inf, 0.5]),
+        dict(good, gamma=[0.0, -3.0]),
+        dict(good, beta=[-1.0, 0.5]),
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            VCoefficients(**kwargs)
+    B = np.ones((2, 3))
+    B[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        v_coefficients(B, FactorModel(np.array([[1.0], [0.0]]), [1.0]))
 
 
 def test_derivative_matches_finite_differences(rng):
