@@ -14,6 +14,7 @@ likelihood comes from the same coefficients.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 
@@ -35,6 +36,12 @@ DEFAULT_V_METHOD = "em"
 # smallest variance a random initialization may draw; keeps the first
 # factor update well defined
 INIT_NOISE_FLOOR = 1e-12
+
+# an iteration whose likelihood falls by more than this times
+# ``1 + |previous likelihood|`` counts as an ascent violation
+ASCENT_SLACK = 1e-8
+
+_log = logging.getLogger("heppcat")
 
 _BLOCK_RULES = ("alternate", "max_improvement")
 
@@ -113,13 +120,17 @@ class FitTrace:
 
     ``seconds[i]`` is the wall time of iteration ``i + 1`` under either
     block rule: its block updates, the factor change and the likelihood
-    of the updated model.
+    of the updated model.  ``ascent_violations`` counts the iterations
+    whose likelihood fell by more than ``ASCENT_SLACK * (1 + |previous|)``
+    and ``worst_drop`` is the largest such fall (0 when there is none).
     """
 
     loglik: np.ndarray
     f_change: np.ndarray
     seconds: np.ndarray
     v: np.ndarray | None = None
+    ascent_violations: int = 0
+    worst_drop: float = 0.0
 
 
 @dataclass
@@ -177,6 +188,10 @@ def fit(data: GroupedData, cfg: FitConfig) -> FitResult:
     the config (``v_tol``, ``loglik_tol``).  Under ``max_improvement``
     the factor criterion is evaluated on the factor candidate computed
     each iteration, whether or not it is the applied block.
+
+    Both block rules ascend, so a likelihood drop beyond the rounding
+    slack is a defect: the fit counts such iterations on its trace and
+    warns once through the ``heppcat`` logger.
     """
     if not 1 <= cfg.rank < data.d:
         raise ValueError("need 1 <= rank < d")
@@ -187,6 +202,8 @@ def fit(data: GroupedData, cfg: FitConfig) -> FitResult:
     seconds: list = []
     converged = False
     iterations = 0
+    violations = 0
+    worst_drop = 0.0
     for _ in range(cfg.max_iters):
         t0 = time.perf_counter()
         v_prev = model.v
@@ -208,6 +225,9 @@ def fit(data: GroupedData, cfg: FitConfig) -> FitResult:
             raise NumericalError(f"iteration {iterations + 1}: {err}") from err
         seconds.append(time.perf_counter() - t0)
         iterations += 1
+        if ll_prev - ll > ASCENT_SLACK * (1.0 + abs(ll_prev)):
+            violations += 1
+            worst_drop = max(worst_drop, ll_prev - ll)
         loglik.append(ll)
         f_change.append(rel)
         if v_hist is not None:
@@ -220,10 +240,17 @@ def fit(data: GroupedData, cfg: FitConfig) -> FitResult:
         if stop:
             converged = True
             break
+    if violations:
+        _log.warning(
+            "likelihood fell in %d of %d iterations (worst drop %.3g); the fit did not ascend",
+            violations, iterations, worst_drop,
+        )
     trace = FitTrace(
         loglik=np.asarray(loglik),
         f_change=np.asarray(f_change),
         seconds=np.asarray(seconds),
         v=np.asarray(v_hist) if v_hist is not None else None,
+        ascent_violations=violations,
+        worst_drop=worst_drop,
     )
     return FitResult(model=model, converged=converged, iterations=iterations, trace=trace)

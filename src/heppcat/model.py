@@ -163,6 +163,18 @@ class FactorModel:
             raise ValueError("non-finite model parameters")
         if np.any(self.v < 0):
             raise ValueError("negative noise variance")
+        self._decompose()
+
+    @classmethod
+    def _unchecked(cls, F: np.ndarray, v: np.ndarray) -> "FactorModel":
+        """A model of a C-ordered float ``F`` and ``v`` without the checks;
+        the SVD still runs."""
+        out = cls.__new__(cls)
+        out.F, out.v = F, v
+        out._decompose()
+        return out
+
+    def _decompose(self) -> None:
         U, s, Vt = np.linalg.svd(self.F, full_matrices=False)
         self.U, self.Vt = normalize_column_signs(U, Vt)
         self.lam = s**2

@@ -11,6 +11,17 @@ the current iterate ``v_t`` (expectation-maximization, difference-of-
 concave linearization, quadratic solvable, cubic solvable); each
 surrogate lies below ``L`` and touches it at ``v_t``, so every update is
 guaranteed not to decrease the likelihood.
+
+The scalar loops run on Python floats built once per call: the root
+finder's derivative and its enclosure, and the difference-of-concave
+bisection's surrogate slope.  A numpy reduction over the ``k + 1``
+coefficients costs far more in dispatch than in arithmetic.  The float
+sums are bit-identical to the numpy expressions they replace: they use
+only ``+``, ``-``, ``*`` and ``/``, which both round correctly, and numpy
+sums fewer than 8 entries in order, as the loops do (for ``k >= 7`` the
+two may differ in the last digit).  Whatever numpy rounds differently
+from Python, ``log`` and ``t**3``, stays on numpy: the Newton polish's
+second derivative and every objective value used to rank candidates.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .model import VCoefficients, univariate_derivative, univariate_objective
+from .model import VCoefficients, univariate_objective
 
 __all__ = [
     "MinorizerCoefficients",
@@ -44,6 +55,7 @@ _ISOLATION_WIDTH_RTOL = 1e-10
 _ISOLATION_DEPTH_CAP = 60
 _BISECT_RTOL = 1e-13
 _DOC_ATOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 def noise_floor(c: VCoefficients) -> float:
@@ -80,7 +92,7 @@ class MinorizerCoefficients:
     @classmethod
     def from_coefficients(cls, c: VCoefficients, v_t: float) -> "MinorizerCoefficients":
         v_t = float(v_t)
-        if not np.isfinite(v_t) or v_t <= 0:
+        if not math.isfinite(v_t) or v_t <= 0:
             raise ValueError("anchor v_t must be finite and positive")
         nz = ~c.zero_set
         a_nz, b_nz, g_nz = c.alpha[nz], c.beta[nz], c.gamma[nz]
@@ -108,14 +120,25 @@ class MinorizerCoefficients:
 # exact maximization by stationary-point isolation
 
 
+def _float_terms(c: VCoefficients) -> tuple:
+    """One ``(alpha_j, beta_j, gamma_j)`` triple of Python floats per index."""
+    return tuple(zip(c.alpha.tolist(), c.beta.tolist(), c.gamma.tolist()))
+
+
+def _derivative(terms, v: float) -> float:
+    """:func:`heppcat.model.univariate_derivative` over ``terms``, same rounding."""
+    s = 0.0
+    for alpha, beta, gamma in terms:
+        t = gamma + v
+        s += -alpha / t + beta / (t * t)
+    return s
+
+
 def _derivative_range(terms, a: float, b: float):
     """Enclosure of the objective derivative over [a, b], 0 < a <= b.
 
-    ``terms`` holds one ``(alpha_j, beta_j, gamma_j)`` triple of Python
-    floats per index.  The enclosure runs on plain floats because a numpy
-    reduction over fewer than 8 entries costs far more in dispatch than
-    in arithmetic; numpy sums such short arrays in order, so the four
-    running sums below repeat its rounding exactly.
+    Four running sums over ``terms``, in the order numpy would sum the
+    equivalent arrays.
     """
     lo_log = lo_inv = hi_log = hi_inv = 0.0
     for alpha, beta, gamma in terms:
@@ -132,7 +155,7 @@ def _objective_second_derivative(c: VCoefficients, v: float) -> float:
     return float(np.sum(c.alpha / t**2) - 2.0 * np.sum(c.beta / t**3))
 
 
-def _newton_polish(c: VCoefficients, v: float, lo: float, hi: float) -> float:
+def _newton_polish(c: VCoefficients, terms, v: float, lo: float, hi: float) -> float:
     """Newton steps on the derivative, clamped to [lo, hi].
 
     Isolation leaves are ~1e-10 wide and adjacent leaves can emit
@@ -140,9 +163,9 @@ def _newton_polish(c: VCoefficients, v: float, lo: float, hi: float) -> float:
     polishing collapses all of them onto the stationary point itself.
     """
     for _ in range(4):
-        d1 = univariate_derivative(c, v)
+        d1 = _derivative(terms, v)
         d2 = _objective_second_derivative(c, v)
-        if d2 == 0.0 or not np.isfinite(d2):
+        if d2 == 0.0 or not math.isfinite(d2):
             break
         v_new = min(max(v - d1 / d2, lo), hi)
         if abs(v_new - v) <= 1e-16 * abs(v):
@@ -171,7 +194,7 @@ def _bisect_root(f, a: float, b: float, fa: float, fb: float) -> float:
     return 0.5 * (a + b)
 
 
-def _stationary_points(c: VCoefficients, lo: float, hi: float) -> list:
+def _stationary_points(c: VCoefficients, terms, lo: float, hi: float) -> list:
     """All stationary points of the objective inside [lo, hi].
 
     Recursive interval splitting: a subinterval is discarded when an
@@ -179,13 +202,13 @@ def _stationary_points(c: VCoefficients, lo: float, hi: float) -> list:
     resolved by bisection once narrower than ~1e-10 relative.  Tangent
     (double) stationary points yield a midpoint candidate, which is
     harmless because callers rank candidates by objective value.
-    The coefficients become Python floats once per call, so the
-    ~200 enclosures an isolation evaluates avoid numpy dispatch on
-    arrays of length ``k + 1``.
+    The ~200 enclosures and the bisection's derivatives are float sums
+    over ``terms`` (:func:`_float_terms`), bit-identical to the numpy
+    expressions for ``k <= 6`` (see the module docstring); the Newton
+    polish keeps its second derivative, which cubes, on numpy.
     """
-    terms = tuple(zip(c.alpha.tolist(), c.beta.tolist(), c.gamma.tolist()))
     width_tol = _ISOLATION_WIDTH_RTOL * (1.0 + hi)
-    deriv = lambda v: univariate_derivative(c, v)
+    deriv = lambda v: _derivative(terms, v)
     roots: list = []
     stack = [(lo, hi, 0)]
     while stack:
@@ -201,7 +224,7 @@ def _stationary_points(c: VCoefficients, lo: float, hi: float) -> list:
                 r = _bisect_root(deriv, a, b, fa, fb)
             else:
                 r = 0.5 * (a + b)
-            roots.append(_newton_polish(c, r, lo, hi))
+            roots.append(_newton_polish(c, terms, r, lo, hi))
             continue
         m = 0.5 * (a + b)
         stack.append((m, b, depth + 1))
@@ -226,13 +249,14 @@ def update_v_rootfind(c: VCoefficients) -> float:
     ratios = c.beta[active] / c.alpha[active] - c.gamma[active]
     v_max = float(ratios.max())
     lo = max(noise_floor(c), float(ratios.min()))
+    terms = _float_terms(c)
     candidates: list = []
     if v_max > lo:
-        candidates.extend(_stationary_points(c, lo, v_max))
+        candidates.extend(_stationary_points(c, terms, lo, v_max))
     else:
         # all per-term ratios coincide: the unique stationary point is v_max
         candidates.append(v_max)
-    if univariate_derivative(c, lo) < 0.0:
+    if _derivative(terms, lo) < 0.0:
         # maximizer sits at or below the representable floor; clamp there
         candidates.append(lo)
     if not candidates:
@@ -256,9 +280,18 @@ def _em_rho(c: VCoefficients, v_t: float) -> float:
 def update_v_em(c: VCoefficients, v_t: float) -> float:
     """Expectation-maximization update ``rho(v_t) / d``."""
     v_t = float(v_t)
-    if not np.isfinite(v_t) or v_t <= 0:
+    if not math.isfinite(v_t) or v_t <= 0:
         raise ValueError("anchor v_t must be finite and positive")
     return _em_rho(c, v_t) / c.ambient_dim
+
+
+def _inverse_square_sum(pairs, v: float) -> float:
+    """``np.sum(beta / (gamma + v) ** 2)`` over ``(beta_j, gamma_j)`` pairs, same rounding."""
+    s = 0.0
+    for beta, gamma in pairs:
+        t = gamma + v
+        s += beta / (t * t)
+    return s
 
 
 def update_v_doc(c: VCoefficients, v_t: float) -> float:
@@ -267,10 +300,12 @@ def update_v_doc(c: VCoefficients, v_t: float) -> float:
     The surrogate derivative ``-sum_j alpha_j/(gamma_j + v_t) +
     sum_j beta_j/(gamma_j + v)^2`` is strictly decreasing, so the update
     returns 0 when it is nonpositive at ``0+`` and otherwise bisects for
-    the unique positive zero.
+    the unique positive zero.  The ~40 slopes the bisection evaluates are
+    float sums over ``(beta_j, gamma_j)`` pairs, bit-identical to the
+    numpy expression for ``k <= 6`` (see the module docstring).
     """
     v_t = float(v_t)
-    if not np.isfinite(v_t) or v_t <= 0:
+    if not math.isfinite(v_t) or v_t <= 0:
         raise ValueError("anchor v_t must be finite and positive")
     if np.any((c.alpha == 0.0) & (c.beta > 0.0)):
         raise ValueError("bracketing requires alpha > 0 wherever beta > 0")
@@ -280,8 +315,8 @@ def update_v_doc(c: VCoefficients, v_t: float) -> float:
     if c.beta_tilde == 0.0 and slope0 <= zeta_full:
         return 0.0
 
-    def fdot(v: float) -> float:
-        return float(np.sum(c.beta / (c.gamma + v) ** 2)) - zeta_full
+    pairs = tuple(zip(c.beta.tolist(), c.gamma.tolist()))
+    fdot = lambda v: _inverse_square_sum(pairs, v) - zeta_full
 
     active = c.alpha > 0.0
     hi = float(np.max(np.sqrt(c.beta[active] / c.alpha[active] * (c.gamma[active] + v_t)) - c.gamma[active]))
@@ -349,7 +384,7 @@ def _real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> list:
         third_p_cu = (p / 3.0) ** 3
         disc = half_q_sq + third_p_cu
         # an exactly repeated root makes disc vanish up to rounding noise
-        disc_tol = 4.0 * np.finfo(float).eps * max(half_q_sq, abs(third_p_cu))
+        disc_tol = 4.0 * _EPS * max(half_q_sq, abs(third_p_cu))
         if disc > disc_tol:
             u3 = -q / 2.0 - math.copysign(math.sqrt(disc), q)
             u = math.copysign(abs(u3) ** (1.0 / 3.0), u3)
@@ -369,9 +404,9 @@ def _real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> list:
         for _ in range(2):
             fx = ((a3 * x + a2) * x + a1) * x + a0
             dfx = (3.0 * a3 * x + 2.0 * a2) * x + a1
-            if dfx != 0.0 and np.isfinite(dfx):
+            if dfx != 0.0 and math.isfinite(dfx):
                 x -= fx / dfx
-        if np.isfinite(x) and all(abs(x - y) > 1e-9 * (1.0 + abs(x)) for y in out):
+        if math.isfinite(x) and all(abs(x - y) > 1e-9 * (1.0 + abs(x)) for y in out):
             out.append(x)
     return out
 
@@ -391,7 +426,8 @@ def update_v_cubic(c: VCoefficients, v_t: float) -> float:
 
     All real roots come from the closed form; nonpositive roots and roots
     where the surrogate derivative does not cross from + to - are
-    discarded, and the survivor with the largest surrogate value wins.
+    discarded, and the survivor with the largest surrogate value wins;
+    a lone survivor is returned without evaluating the surrogate.
     """
     m = MinorizerCoefficients.from_coefficients(c, v_t)
     if c.beta_tilde == 0.0:
@@ -418,6 +454,8 @@ def update_v_cubic(c: VCoefficients, v_t: float) -> float:
             f"(coefficients: c_bar={m.c_bar!r}, gamma_t={m.gamma_t!r}, "
             f"alpha_tilde={m.alpha_tilde!r}, beta_tilde={m.beta_tilde!r}, v_t={v_t!r})"
         )
+    if len(candidates) == 1:
+        return float(candidates[0])
     values = [eval_minorizer("cubic", c, r, v_t) for r in candidates]
     return float(candidates[int(np.argmax(values))])
 
@@ -447,32 +485,34 @@ def eval_minorizer(kind: str, c: VCoefficients, v: float, v_t: float) -> float:
     """
     v = float(v)
     v_t = float(v_t)
-    if not np.isfinite(v) or v <= 0:
+    if not math.isfinite(v) or v <= 0:
         raise ValueError("v must be finite and positive")
-    if not np.isfinite(v_t) or v_t <= 0:
+    if not math.isfinite(v_t) or v_t <= 0:
         raise ValueError("anchor v_t must be finite and positive")
-
-    def raw(x: float) -> float:
-        if kind == "em":
-            d = c.ambient_dim
-            return -d * math.log(x) - _em_rho(c, v_t) / x
-        if kind == "doc":
-            t = c.gamma + x
-            return float(-np.sum(c.alpha * x / (c.gamma + v_t)) - np.sum(c.beta / t))
-        m = MinorizerCoefficients.from_coefficients(c, v_t)
-        if kind == "quad":
-            return -m.alpha_tilde * math.log(x) - m.B_bar / x - m.zeta * x
-        if kind == "cubic":
-            lin = float(np.sum(m.beta_nz * x / (m.gamma_nz + v_t) ** 2))
-            quad = 0.5 * float(np.sum(m.curvature)) * (x - v_t) ** 2
-            return (
-                -m.alpha_tilde * math.log(x)
-                - m.beta_tilde / x
-                - m.zeta * x
-                + lin
-                + quad
-            )
-        raise ValueError(f"unknown minorizer kind: {kind!r}")
-
+    raw = _raw_minorizer(kind, c, v_t)
     # grouping makes the anchored value exactly equal the objective at v_t
     return univariate_objective(c, v_t) + (raw(v) - raw(v_t))
+
+
+def _raw_minorizer(kind: str, c: VCoefficients, v_t: float):
+    """The surrogate anchored at ``v_t`` up to its additive constant, as a
+    function of ``v``; its coefficients are computed once."""
+    if kind == "em":
+        d, rho = c.ambient_dim, _em_rho(c, v_t)
+        return lambda x: -d * math.log(x) - rho / x
+    if kind == "doc":
+        anchor = c.gamma + v_t
+        return lambda x: float(-np.sum(c.alpha * x / anchor) - np.sum(c.beta / (c.gamma + x)))
+    if kind not in ("quad", "cubic"):
+        raise ValueError(f"unknown minorizer kind: {kind!r}")
+    m = MinorizerCoefficients.from_coefficients(c, v_t)
+    if kind == "quad":
+        return lambda x: -m.alpha_tilde * math.log(x) - m.B_bar / x - m.zeta * x
+    anchor_sq = (m.gamma_nz + v_t) ** 2
+
+    def cubic(x: float) -> float:
+        lin = float(np.sum(m.beta_nz * x / anchor_sq))
+        quad = 0.5 * m.c_bar * (x - v_t) ** 2
+        return -m.alpha_tilde * math.log(x) - m.beta_tilde / x - m.zeta * x + lin + quad
+
+    return cubic

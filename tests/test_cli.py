@@ -192,6 +192,16 @@ def test_fit_numerical_failure_exit_4(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_fit_non_finite_factor_update_exit_4(tmp_path, capsys, monkeypatch):
+    sim = simulate_small(tmp_path)
+    from heppcat import fupdate
+
+    monkeypatch.setattr(fupdate, "_potrs", lambda C, B, lower: (np.full(B.shape, np.nan), 0))
+    code = run(["fit", "--data", sim / "data.csv", "--rank", 2, "--out", tmp_path / "m.json"])
+    assert code == 4
+    assert "non-finite factors" in capsys.readouterr().err
+
+
 def test_fit_compress_matches_raw(tmp_path):
     sim = simulate_small(tmp_path)
     lls = []

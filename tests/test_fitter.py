@@ -1,7 +1,10 @@
+import logging
 import time
 
 import numpy as np
 import pytest
+
+from heppcat import fitter
 
 from heppcat import (
     FactorModel,
@@ -214,3 +217,35 @@ def test_fit_rejects_bad_shapes():
     start = FactorModel(np.zeros((6, 2)), np.ones(3))  # L mismatch
     with pytest.raises(ValueError):
         fit(data, FitConfig(rank=2, init=start))
+
+
+def test_ascent_monitor_counts_a_forced_drop(monkeypatch, caplog):
+    data, _ = two_group_data()
+    real = fitter.update_v
+    calls = []
+
+    def dropping(method, c, v_t=None):
+        # the second group's update in iteration 3 overshoots its optimum tenfold
+        calls.append(1)
+        v_new = real(method, c, v_t)
+        return 10.0 * v_new if len(calls) == 2 * 3 else v_new
+
+    monkeypatch.setattr(fitter, "update_v", dropping)
+    with caplog.at_level(logging.WARNING, logger="heppcat"):
+        res = fit(data, FitConfig(rank=2, max_iters=8, tol=0.0))
+    ll = res.trace.loglik
+    assert ll[3] < ll[2]
+    assert res.trace.ascent_violations == 1
+    assert res.trace.worst_drop == ll[2] - ll[3]
+    warnings = [r for r in caplog.records if r.name == "heppcat"]
+    assert len(warnings) == 1 and "1 of 8 iterations" in warnings[0].getMessage()
+
+
+@pytest.mark.parametrize("rule", ["alternate", "max_improvement"])
+def test_ascent_monitor_silent_on_normal_fits(rule, caplog):
+    data, _ = two_group_data()
+    with caplog.at_level(logging.WARNING, logger="heppcat"):
+        for method in V_METHODS:
+            res = fit(data, FitConfig(rank=2, v_method=method, max_iters=60, tol=0.0, block_rule=rule))
+            assert (res.trace.ascent_violations, res.trace.worst_drop) == (0, 0.0)
+    assert not [r for r in caplog.records if r.name == "heppcat"]

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from heppcat import (
     MINORIZER_KINDS,
     V_METHODS,
+    FitConfig,
+    GroupedData,
     MinorizerCoefficients,
     NumericalError,
     VCoefficients,
     eval_minorizer,
+    fit,
     noise_floor,
     univariate_derivative,
     univariate_objective,
@@ -22,7 +25,23 @@ from heppcat import (
     update_v_quadratic,
     update_v_rootfind,
 )
-from heppcat.vupdate import _derivative_range, _real_cubic_roots
+from heppcat import fitter
+from heppcat.vupdate import (
+    _BISECT_RTOL,
+    _DOC_ATOL,
+    _ISOLATION_DEPTH_CAP,
+    _ISOLATION_WIDTH_RTOL,
+    _bisect_root,
+    _cubic_surrogate_derivative,
+    _derivative,
+    _derivative_range,
+    _em_rho,
+    _float_terms,
+    _inverse_square_sum,
+    _newton_polish,
+    _positive_quadratic_root,
+    _real_cubic_roots,
+)
 from conftest import derivative_on_grid, grid_argmax, objective_on_grid, random_coefficients
 
 
@@ -279,3 +298,244 @@ def test_cubic_roots_triple_and_double():
     assert _real_cubic_roots(1.0, -6.0, 12.0, -8.0) == pytest.approx([2.0])
     roots = sorted(_real_cubic_roots(1.0, 1.0, -5.0, 3.0))
     assert roots == pytest.approx([-3.0, 1.0], abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# exact agreement with the numpy formulation
+#
+# The ``_reference_*`` oracles below are the numpy versions of the
+# routines whose scalar loops now run on Python floats: the derivative,
+# the rootfind isolation with its polish, the difference-of-concave
+# bisection, the cubic ranking and the surrogate evaluation.  For k <= 6
+# the float loops must reproduce them bit for bit.
+
+
+def _reference_second_derivative(c, v):
+    t = c.gamma + v
+    return float(np.sum(c.alpha / t**2) - 2.0 * np.sum(c.beta / t**3))
+
+
+def _reference_newton_polish(c, v, lo, hi):
+    for _ in range(4):
+        d1 = univariate_derivative(c, v)
+        d2 = _reference_second_derivative(c, v)
+        if d2 == 0.0 or not np.isfinite(d2):
+            break
+        v_new = min(max(v - d1 / d2, lo), hi)
+        if abs(v_new - v) <= 1e-16 * abs(v):
+            return v_new
+        v = v_new
+    return v
+
+
+def _reference_stationary_points(c, lo, hi):
+    terms = _float_terms(c)
+    width_tol = _ISOLATION_WIDTH_RTOL * (1.0 + hi)
+    deriv = lambda v: univariate_derivative(c, v)
+    roots = []
+    stack = [(lo, hi, 0)]
+    while stack:
+        a, b, depth = stack.pop()
+        if depth > _ISOLATION_DEPTH_CAP:
+            raise NumericalError("depth")
+        r_lo, r_hi = _derivative_range(terms, a, b)
+        if r_lo > 0.0 or r_hi < 0.0:
+            continue
+        if (b - a) < width_tol:
+            fa, fb = deriv(a), deriv(b)
+            if fa == 0.0 or fb == 0.0 or (fa > 0) != (fb > 0):
+                r = _bisect_root(deriv, a, b, fa, fb)
+            else:
+                r = 0.5 * (a + b)
+            roots.append(_reference_newton_polish(c, r, lo, hi))
+            continue
+        m = 0.5 * (a + b)
+        stack.append((m, b, depth + 1))
+        stack.append((a, m, depth + 1))
+    return sorted(roots)
+
+
+def _reference_rootfind(c, v_t=None):
+    if c.beta_tilde == 0.0:
+        return 0.0
+    active = c.alpha > 0.0
+    ratios = c.beta[active] / c.alpha[active] - c.gamma[active]
+    v_max = float(ratios.max())
+    lo = max(noise_floor(c), float(ratios.min()))
+    candidates = _reference_stationary_points(c, lo, v_max) if v_max > lo else [v_max]
+    if univariate_derivative(c, lo) < 0.0:
+        candidates.append(lo)
+    if not candidates:
+        raise NumericalError("no stationary point")
+    values = [univariate_objective(c, v) for v in candidates]
+    return float(candidates[int(np.argmax(values))])
+
+
+def _reference_doc(c, v_t):
+    zeta_full = float(np.sum(c.alpha / (c.gamma + v_t)))
+    nz = ~c.zero_set
+    slope0 = float(np.sum(c.beta[nz] / c.gamma[nz] ** 2))
+    if c.beta_tilde == 0.0 and slope0 <= zeta_full:
+        return 0.0
+    fdot = lambda v: float(np.sum(c.beta / (c.gamma + v) ** 2)) - zeta_full
+    active = c.alpha > 0.0
+    hi = float(np.max(np.sqrt(c.beta[active] / c.alpha[active] * (c.gamma[active] + v_t)) - c.gamma[active]))
+    lo = noise_floor(c)
+    f_lo = fdot(lo)
+    if f_lo <= 0.0:
+        if f_lo == 0.0:
+            return lo
+        raise NumericalError("no sign change at the floor")
+    if fdot(hi) > 0.0:
+        raise NumericalError("upper endpoint not past the zero")
+    atol = _DOC_ATOL * (1.0 + v_t)
+    a, b = lo, hi
+    for _ in range(200):
+        if (b - a) <= atol:
+            break
+        m = 0.5 * (a + b)
+        fm = fdot(m)
+        if fm == 0.0:
+            return m
+        if fm > 0.0:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+def _reference_eval_minorizer(kind, c, v, v_t):
+    def raw(x):
+        if kind == "em":
+            return -c.ambient_dim * math.log(x) - _em_rho(c, v_t) / x
+        if kind == "doc":
+            t = c.gamma + x
+            return float(-np.sum(c.alpha * x / (c.gamma + v_t)) - np.sum(c.beta / t))
+        m = MinorizerCoefficients.from_coefficients(c, v_t)
+        if kind == "quad":
+            return -m.alpha_tilde * math.log(x) - m.B_bar / x - m.zeta * x
+        lin = float(np.sum(m.beta_nz * x / (m.gamma_nz + v_t) ** 2))
+        quad = 0.5 * float(np.sum(m.curvature)) * (x - v_t) ** 2
+        return -m.alpha_tilde * math.log(x) - m.beta_tilde / x - m.zeta * x + lin + quad
+
+    return univariate_objective(c, v_t) + (raw(v) - raw(v_t))
+
+
+def _reference_cubic(c, v_t):
+    m = MinorizerCoefficients.from_coefficients(c, v_t)
+    if c.beta_tilde == 0.0:
+        return 0.0
+    if m.c_bar == 0.0:
+        return _positive_quadratic_root(m.zeta, m.alpha_tilde, m.beta_tilde)
+    candidates = []
+    for r in _real_cubic_roots(m.c_bar, m.gamma_t - m.c_bar * v_t, -m.alpha_tilde, m.beta_tilde):
+        if r <= 0.0:
+            continue
+        h = 1e-6 * r
+        scale = abs(m.alpha_tilde / r) + abs(m.beta_tilde / r**2) + abs(m.gamma_t) + abs(m.c_bar) * (r + v_t)
+        tol = 1e-9 * max(scale, 1e-300)
+        if _cubic_surrogate_derivative(m, r - h) >= -tol and _cubic_surrogate_derivative(m, r + h) <= tol:
+            candidates.append(r)
+    if not candidates:
+        raise NumericalError("no admissible root")
+    values = [_reference_eval_minorizer("cubic", c, r, v_t) for r in candidates]
+    return float(candidates[int(np.argmax(values))])
+
+
+def _reference_quad(c, v_t):
+    m = MinorizerCoefficients.from_coefficients(c, v_t)
+    return _positive_quadratic_root(m.zeta, m.alpha_tilde, m.B_bar)
+
+
+_REFERENCE_UPDATES = {
+    "rootfind": _reference_rootfind,
+    "em": lambda c, v_t: _em_rho(c, v_t) / c.ambient_dim,
+    "doc": _reference_doc,
+    "quad": _reference_quad,
+    "cubic": _reference_cubic,
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, NumericalError) as err:
+        return type(err)
+
+
+def _criterion4_sets(rng, ks, count):
+    for i in range(count):
+        c = random_coefficients(rng, k=ks[i % len(ks)])
+        yield c, float(10 ** rng.uniform(-2.0, 1.5)), float(10 ** rng.uniform(-3.0, 2.0))
+
+
+def test_float_sums_match_numpy(rng):
+    # the rootfind derivative and the doc slope; numpy sums fewer than 8
+    # entries in order, so for k <= 6 the rounding is the same
+    eps = np.finfo(float).eps
+    for k in range(1, 11):
+        for _ in range(200):
+            c = random_coefficients(rng, k=k)
+            v = float(10 ** rng.uniform(-12.0, 2.0))
+            t = c.gamma + v
+            pairs = tuple(zip(c.beta.tolist(), c.gamma.tolist()))
+            got = (_derivative(_float_terms(c), v), _inverse_square_sum(pairs, v))
+            want = (univariate_derivative(c, v), float(np.sum(c.beta / t**2)))
+            if k <= 6:
+                assert got == want
+            else:
+                scale = float(np.sum(c.alpha / t + c.beta / t**2))
+                assert all(abs(g - w) <= 16 * (k + 1) * eps * scale for g, w in zip(got, want))
+
+
+def test_newton_polish_matches_numpy_reference_from_any_start(rng):
+    # far from a root the four Newton steps do not converge, so every
+    # step's rounding, the numpy cube included, reaches the result
+    for k in range(1, 7):
+        for _ in range(300):
+            c = random_coefficients(rng, k=k)
+            lo, hi = sorted(float(x) for x in 10 ** rng.uniform(-3.0, 1.5, size=2))
+            v0 = float(rng.uniform(lo, hi))
+            assert _newton_polish(c, _float_terms(c), v0, lo, hi) == _reference_newton_polish(c, v0, lo, hi)
+
+
+def test_updates_and_minorizers_match_numpy_reference_exactly():
+    rng = np.random.default_rng(4)
+    for c, v_t, v in _criterion4_sets(rng, range(1, 7), 2400):
+        for method in V_METHODS:
+            got = _outcome(update_v, method, c, v_t)
+            assert got == _outcome(_REFERENCE_UPDATES[method], c, v_t), (method, c, v_t)
+        for kind in MINORIZER_KINDS:
+            assert eval_minorizer(kind, c, v, v_t) == _reference_eval_minorizer(kind, c, v, v_t)
+            assert eval_minorizer(kind, c, v_t, v_t) == univariate_objective(c, v_t)
+
+
+def test_updates_match_numpy_reference_within_bisection_width_for_large_k():
+    # numpy sums 8 or more entries pairwise, so the float loops may round
+    # the derivative differently in the last digit; the two then agree to
+    # the bisection's final width: 1e-13 relative for rootfind (before
+    # its polish) and 1e-12 * (1 + v_t) absolute for doc
+    rng = np.random.default_rng(5)
+    for c, v_t, _ in _criterion4_sets(rng, range(7, 11), 400):
+        for method in V_METHODS:
+            got = update_v(method, c, v_t)
+            want = _REFERENCE_UPDATES[method](c, v_t)
+            if method == "rootfind":
+                assert abs(got - want) <= _BISECT_RTOL * abs(want)
+            elif method == "doc":
+                assert abs(got - want) <= _DOC_ATOL * (1.0 + v_t)
+            else:
+                assert got == want
+
+
+def test_fit_traces_match_numpy_reference_updates(monkeypatch):
+    data = GroupedData.from_samples(np.random.default_rng(9).standard_normal((30, 90)), [60, 30])
+    for method in V_METHODS:
+        cfg = FitConfig(rank=3, v_method=method, max_iters=25, tol=0.0)
+        new = fit(data, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(fitter, "update_v", lambda name, c, v_t=None: _REFERENCE_UPDATES[name](c, v_t))
+            ref = fit(data, cfg)
+        assert np.array_equal(new.trace.loglik, ref.trace.loglik), method
+        assert np.array_equal(new.trace.v, ref.trace.v), method
+        assert np.array_equal(new.model.F, ref.model.F), method
