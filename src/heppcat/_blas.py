@@ -1,13 +1,13 @@
 """Thread counts of the OpenBLAS libraries loaded in this process.
 
-numpy and scipy wheels each bundle their own OpenBLAS, and each sizes
-its thread pool to the core count.  Every sweep task, study and CLI
-command runs on one BLAS thread: the matrices are too small to gain from
-threading, pool workers would otherwise oversubscribe the cores, and the
-thread count changes rounding, so pinning it makes outputs independent
-of the pool size and of the machine.  Libraries are found from
-``/proc/self/maps``; where that file or the thread-count symbols are
-missing, nothing is changed.
+heppcat's only linear algebra is numpy's, so it loads one OpenBLAS: the
+one numpy's wheel bundles, which sizes its thread pool to the core
+count.  Every sweep task, study and CLI command runs on one BLAS thread:
+the matrices are too small to gain from threading, pool workers would
+otherwise oversubscribe the cores, and the thread count changes
+rounding, so pinning it makes outputs independent of the pool size and
+of the machine.  Libraries are found from ``/proc/self/maps``; where
+that file or the thread-count symbols are missing, nothing is changed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import contextlib
 import functools
 
-# (get, set) symbol names: numpy/scipy wheel builds, then system builds;
+# (get, set) symbol names: wheel builds (scipy-openblas), then system builds;
 # the 64_ suffix marks a 64-bit-integer interface
 _SYMBOLS = tuple(
     (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
@@ -28,9 +28,10 @@ _SYMBOLS = tuple(
 def _openblas_handles() -> tuple:
     """(get, set) thread-count functions, one pair per loaded OpenBLAS.
 
-    Found once per process: importing heppcat loads numpy's and scipy's
-    OpenBLAS (``model`` imports ``scipy.linalg``) before any call, so no
-    library appears after the first scan.
+    Found once per process: importing heppcat loads numpy's OpenBLAS
+    before any call, and heppcat loads no other.  An OpenBLAS that a
+    caller loads later (say, by importing ``scipy.linalg``) is not
+    pinned, but heppcat never calls it.
     """
     import ctypes
 

@@ -23,10 +23,11 @@ from . import _blas
 from . import benchmark as bench
 from .dataio import model_record, read_dataset, write_dataset, write_json, write_rows
 from .errors import NumericalError
-from .fitter import FitConfig, fit
+from .fitter import DEFAULT_MAX_ITERS, DEFAULT_TOL, DEFAULT_V_METHOD, FitConfig, fit
 from .fupdate import compress_gram
 from .model import GroupedData
 from .simgen import TruthModel, generate, haar_orthonormal, rng_stream
+from .vupdate import V_METHODS
 
 __all__ = ["main"]
 
@@ -306,11 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fitp.add_argument("--data", required=True)
     fitp.add_argument("--rank", type=int, required=True)
-    fitp.add_argument(
-        "--method", default="em", choices=["rootfind", "em", "doc", "quad", "cubic"]
-    )
-    fitp.add_argument("--max-iters", type=int, default=1000)
-    fitp.add_argument("--tol", type=float, default=1e-6)
+    fitp.add_argument("--method", default=DEFAULT_V_METHOD, choices=V_METHODS)
+    fitp.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
+    fitp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     fitp.add_argument("--init", default="ppca", choices=["ppca", "random"])
     fitp.add_argument(
         "--block-rule", default="alternate", choices=["alternate", "max-improvement"]
@@ -376,12 +375,13 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    # numpy's LinAlgError subclasses ValueError, but it is no usage error
+    except (NumericalError, np.linalg.LinAlgError) as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return 4
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except NumericalError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

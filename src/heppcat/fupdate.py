@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from .errors import NumericalError
 from .model import FactorModel, GroupedData
@@ -11,10 +10,6 @@ from .model import FactorModel, GroupedData
 __all__ = ["em_update_F", "compress_gram"]
 
 _RCOND_FLOOR = 1e-14
-
-# looked up once: ``cho_factor``/``cho_solve`` call the same routines but
-# cost four times as much in argument checks on a k x k system
-_potrf, _potrs = linalg.get_lapack_funcs(("potrf", "potrs"))
 
 
 def em_update_F(data: GroupedData, model: FactorModel) -> FactorModel:
@@ -34,7 +29,8 @@ def em_update_F(data: GroupedData, model: FactorModel) -> FactorModel:
         If any ``v_l <= 0``; a zero variance has no posterior covariance.
     NumericalError
         If the k x k normal matrix has reciprocal condition below 1e-14,
-        its Cholesky solve fails, or the updated factors are not finite.
+        numpy's solve raises ``LinAlgError``, or the updated factors are
+        not finite.
     """
     if data.d != model.d or data.L != model.L:
         raise ValueError("data and model shapes differ")
@@ -50,11 +46,11 @@ def em_update_F(data: GroupedData, model: FactorModel) -> FactorModel:
     w = np.linalg.eigvalsh(N)
     if w[0] <= 0 or w[0] < _RCOND_FLOOR * w[-1]:
         raise NumericalError("factor-update normal matrix is numerically singular")
-    C, info = _potrf(N, lower=1, clean=0)
-    if info == 0:
-        X, info = _potrs(C, A.T, lower=1)
-    if info != 0:
-        raise NumericalError(f"factor-update Cholesky solve failed (LAPACK info {info})")
+    # the check above proves N symmetric positive definite and well conditioned
+    try:
+        X = np.linalg.solve(N, A.T)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"factor-update solve failed: {err}") from err
     F = X.T @ Vt
     if not np.isfinite(F).all():
         raise NumericalError("factor update produced non-finite factors")

@@ -195,13 +195,16 @@ def _bisect_root(f, a: float, b: float, fa: float, fb: float) -> float:
 
 
 def _stationary_points(c: VCoefficients, terms, lo: float, hi: float) -> list:
-    """All stationary points of the objective inside [lo, hi].
+    """All stationary points of the objective inside [lo, hi], distinct and sorted.
 
     Recursive interval splitting: a subinterval is discarded when an
     enclosure of the derivative excludes zero, split otherwise, and
     resolved by bisection once narrower than ~1e-10 relative.  Tangent
     (double) stationary points yield a midpoint candidate, which is
     harmless because callers rank candidates by objective value.
+    Adjacent leaves often polish onto the same root; the copies are
+    dropped.  A tangent leaf is kept even when a neighbour holds a
+    root: its polished midpoint is often the best candidate.
     The ~200 enclosures and the bisection's derivatives are float sums
     over ``terms`` (:func:`_float_terms`), bit-identical to the numpy
     expressions for ``k <= 6`` (see the module docstring); the Newton
@@ -229,7 +232,7 @@ def _stationary_points(c: VCoefficients, terms, lo: float, hi: float) -> list:
         m = 0.5 * (a + b)
         stack.append((m, b, depth + 1))
         stack.append((a, m, depth + 1))
-    return sorted(roots)
+    return sorted(set(roots))
 
 
 def update_v_rootfind(c: VCoefficients) -> float:
@@ -239,7 +242,8 @@ def update_v_rootfind(c: VCoefficients) -> float:
     where the objective diverges to ``+inf`` at 0).  Otherwise every
     nonnegative stationary point lies between the extremes of
     ``beta_j / alpha_j - gamma_j``; all of them are isolated and the
-    argmax of the objective is returned.
+    argmax of the objective is returned; a lone candidate is returned
+    without evaluating the objective.
     """
     if c.beta_tilde == 0.0:
         return 0.0
@@ -263,6 +267,8 @@ def update_v_rootfind(c: VCoefficients) -> float:
         raise NumericalError(
             f"no stationary point found in [{lo!r}, {v_max!r}] despite beta_tilde > 0"
         )
+    if len(candidates) == 1:
+        return float(candidates[0])
     values = [univariate_objective(c, v) for v in candidates]
     return float(candidates[int(np.argmax(values))])
 

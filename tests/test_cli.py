@@ -1,14 +1,19 @@
 """End-to-end command-line tests driven through ``heppcat.cli.main``."""
 
 import csv
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import heppcat
 from heppcat import (
+    FitConfig,
     init_ppca,
     read_dataset,
     read_json,
@@ -145,6 +150,17 @@ def test_fit_output_does_not_depend_on_blas_threads(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_import_loads_numpy_only():
+    # one OpenBLAS per process: importing the CLI must not pull in scipy
+    src = str(pathlib.Path(heppcat.__file__).parents[1])
+    code = "import sys, heppcat.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_fit_trace_excludes_wall_times(tmp_path):
     sim = simulate_small(tmp_path)
     path = tmp_path / "model.json"
@@ -194,12 +210,35 @@ def test_fit_numerical_failure_exit_4(tmp_path, capsys, monkeypatch):
 
 def test_fit_non_finite_factor_update_exit_4(tmp_path, capsys, monkeypatch):
     sim = simulate_small(tmp_path)
-    from heppcat import fupdate
-
-    monkeypatch.setattr(fupdate, "_potrs", lambda C, B, lower: (np.full(B.shape, np.nan), 0))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(np.shape(b), np.nan))
     code = run(["fit", "--data", sim / "data.csv", "--rank", 2, "--out", tmp_path / "m.json"])
     assert code == 4
     assert "non-finite factors" in capsys.readouterr().err
+
+
+def test_fit_linalg_error_exit_4(tmp_path, capsys, monkeypatch):
+    # numpy's LinAlgError subclasses ValueError; it must not read as a usage error
+    sim = simulate_small(tmp_path)
+    svd, calls = np.linalg.svd, []
+
+    def failing_svd(*args, **kwargs):
+        calls.append(None)
+        if len(calls) >= 3:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    code = run(["fit", "--data", sim / "data.csv", "--rank", 2, "--tol", 0, "--max-iters", 10,
+                "--out", tmp_path / "m.json"])
+    assert len(calls) == 3
+    assert code == 4
+    assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+
+
+def test_fit_parser_defaults_match_fit_config():
+    args = build_parser().parse_args(["fit", "--data", "x.csv", "--rank", "2"])
+    cfg = FitConfig(rank=2)
+    assert (args.method, args.max_iters, args.tol) == (cfg.v_method, cfg.max_iters, cfg.tol)
 
 
 def test_fit_compress_matches_raw(tmp_path):

@@ -41,6 +41,7 @@ from heppcat.vupdate import (
     _newton_polish,
     _positive_quadratic_root,
     _real_cubic_roots,
+    _stationary_points,
 )
 from conftest import derivative_on_grid, grid_argmax, objective_on_grid, random_coefficients
 
@@ -467,6 +468,27 @@ def _criterion4_sets(rng, ks, count):
     for i in range(count):
         c = random_coefficients(rng, k=ks[i % len(ks)])
         yield c, float(10 ** rng.uniform(-2.0, 1.5)), float(10 ** rng.uniform(-3.0, 2.0))
+
+
+def test_stationary_points_are_the_distinct_reference_roots():
+    # adjacent isolation leaves polish onto the same root; the copies go,
+    # every distinct root (tangent midpoints included) stays
+    rng = np.random.default_rng(6)
+    copies = 0
+    for c, _, _ in _criterion4_sets(rng, range(1, 7), 600):
+        if c.beta_tilde == 0.0:
+            continue
+        active = c.alpha > 0.0
+        ratios = c.beta[active] / c.alpha[active] - c.gamma[active]
+        lo = max(noise_floor(c), float(ratios.min()))
+        hi = float(ratios.max())
+        if hi <= lo:
+            continue
+        got = _stationary_points(c, _float_terms(c), lo, hi)
+        want = _reference_stationary_points(c, lo, hi)
+        assert got == sorted(set(want))
+        copies += len(want) - len(got)
+    assert copies > 0
 
 
 def test_float_sums_match_numpy(rng):
