@@ -14,6 +14,7 @@ in-process).
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -21,11 +22,11 @@ import numpy as np
 
 from . import _blas
 from .baselines import ppca_closed_form, weighted_pca
-from .fitter import FitConfig, fit, init_ppca, init_random
-from .metrics import component_recovery, factor_error, nrmse, subspace_error
-from .model import FactorModel, GroupedData, univariate_objective, v_coefficients
+from .fitter import DEFAULT_V_METHOD, FitConfig, fit, init_ppca, init_random
+from .metrics import component_recovery, factor_error, nrmse, relative_bias, subspace_error
+from .model import FactorModel, GroupedData, group_coefficients, univariate_objective
 from .simgen import TruthModel, generate, haar_orthonormal, rng_stream
-from .vupdate import MINORIZER_KINDS, eval_minorizer
+from .vupdate import MINORIZER_KINDS, V_METHODS, eval_minorizer
 
 __all__ = [
     "PRESETS",
@@ -48,32 +49,19 @@ PRESET_V1 = 1.0
 # weighted-PCA weights
 _WEIGHT_FLOOR = 1e-12
 
-PRESETS = ("fig3", "fig4", "fig5", "fig6-blocks", "fig7")
+_SIGMA_SWEEP = (0.5, 1.0, 2.0, 3.0)
 
-_DEFAULT_SIGMA = {
-    "fig3": (0.5, 1.0, 2.0, 3.0),
-    "fig4": (0.5, 1.0, 2.0, 3.0),
-    "fig5": (2.0,),
-    "fig6-blocks": (2.0,),
-    "fig7": (0.5, 1.0, 2.0, 3.0),
+# preset -> (default noise levels sigma2, default methods)
+_PRESET_DEFAULTS = {
+    "fig3": (_SIGMA_SWEEP, ("heppcat", "ppca-full", "ppca-group1", "ppca-group2")),
+    "fig4": (_SIGMA_SWEEP, ("heppcat", "wpca-inv", "wpca-sqinv")),
+    "fig5": ((2.0,), ("heppcat",)),
+    "fig6-blocks": ((2.0,), ("heppcat",)),
+    "fig7": (_SIGMA_SWEEP, ("heppcat", "ppca-full")),
 }
+PRESETS = tuple(_PRESET_DEFAULTS)
 
-_DEFAULT_METHODS = {
-    "fig3": ("heppcat", "ppca-full", "ppca-group1", "ppca-group2"),
-    "fig4": ("heppcat", "wpca-inv", "wpca-sqinv"),
-    "fig5": ("heppcat",),
-    "fig6-blocks": ("heppcat",),
-    "fig7": ("heppcat", "ppca-full"),
-}
-
-_HEPPCAT_METHODS = {
-    "heppcat": "em",
-    "heppcat-em": "em",
-    "heppcat-rootfind": "rootfind",
-    "heppcat-doc": "doc",
-    "heppcat-quad": "quad",
-    "heppcat-cubic": "cubic",
-}
+_HEPPCAT_METHODS = {"heppcat": DEFAULT_V_METHOD, **{f"heppcat-{m}": m for m in V_METHODS}}
 
 _BASELINES = ("ppca-full", "ppca-group1", "ppca-group2", "wpca-inv", "wpca-sqinv")
 
@@ -83,6 +71,14 @@ FIG6_BLOCK_SIZES = (1, 10, 100)
 # spectral initialization from satisfying the factor criterion before
 # the variances have moved
 _FIT_KW = dict(max_iters=1000, tol=1e-8, loglik_tol=1e-10)
+
+
+def _noise_levels(values, name: str) -> tuple:
+    """``values`` as a nonempty tuple of finite positive floats."""
+    levels = tuple(float(s) for s in values)
+    if not levels or not all(math.isfinite(s) and s > 0 for s in levels):
+        raise ValueError(f"{name} needs finite positive noise levels, got {levels}")
+    return levels
 
 
 def worker_count() -> int:
@@ -133,11 +129,6 @@ def _split_into_blocks(data: GroupedData, block: int) -> GroupedData:
     return GroupedData.from_samples(data.Y, [block] * (data.n // block))
 
 
-def _recovery_rows(U_hat: np.ndarray, truth: TruthModel) -> list:
-    rec = component_recovery(U_hat, truth.U)
-    return [(f"recovery{j + 1}", float(r)) for j, r in enumerate(rec)]
-
-
 def _standard_rows(preset: str, method: str, data: GroupedData, truth: TruthModel) -> list:
     """metric/value pairs for one method on one dataset."""
     F_true = truth.F
@@ -160,18 +151,14 @@ def _standard_rows(preset: str, method: str, data: GroupedData, truth: TruthMode
         raise ValueError(f"unknown method {method!r}")
 
     if preset == "fig5":
-        out = []
-        for l in range(truth.L):
-            out.append((f"rel_bias_v{l + 1}", float((model.v[l] - truth.v[l]) / truth.v[l])))
-        for j in range(truth.k):
-            lam_t = truth.lam[j]
-            out.append((f"rel_bias_lambda{j + 1}", float((model.lam[j] - lam_t) / lam_t)))
+        out = [(f"rel_bias_v{l + 1}", relative_bias(model.v[l], truth.v[l])) for l in range(truth.L)]
+        out += [(f"rel_bias_lambda{j + 1}", relative_bias(model.lam[j], truth.lam[j])) for j in range(truth.k)]
         return out
     if preset == "fig4":
         return [("subspace_error", subspace_error(U_hat, truth.U))]
     # fig3 / fig7: factor-covariance error plus per-component recoveries
     out = [] if F_hat is None else [("factor_error", factor_error(F_hat, F_true))]
-    out.extend(_recovery_rows(U_hat, truth))
+    out += [(f"recovery{j + 1}", float(r)) for j, r in enumerate(component_recovery(U_hat, truth.U))]
     if preset == "fig7":
         out.append(("subspace_error", subspace_error(U_hat, truth.U)))
     return out
@@ -215,15 +202,18 @@ def run_benchmark(preset: str, trials: int, sigma_grid=None, methods=None, seed:
         raise ValueError(f"preset must be one of {PRESETS}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sigma_grid = _DEFAULT_SIGMA[preset] if sigma_grid is None else tuple(float(s) for s in sigma_grid)
-    methods = _DEFAULT_METHODS[preset] if methods is None else tuple(methods)
+    default_sigma, default_methods = _PRESET_DEFAULTS[preset]
+    sigma_grid = _noise_levels(default_sigma if sigma_grid is None else sigma_grid, "sigma_grid")
+    methods = default_methods if methods is None else tuple(methods)
+    if not methods:
+        raise ValueError("methods is empty")
     for m in methods:
         if m not in _HEPPCAT_METHODS and m not in _BASELINES:
             raise ValueError(f"unknown method {m!r}")
         if preset == "fig6-blocks" and m not in _HEPPCAT_METHODS:
             raise ValueError("fig6-blocks supports heppcat methods only")
-        if preset == "fig5" and m in ("wpca-inv", "wpca-sqinv"):
-            raise ValueError("fig5 needs methods that estimate variances")
+        if preset == "fig5" and m not in _HEPPCAT_METHODS and m != "ppca-full":
+            raise ValueError("fig5 needs methods that estimate the variances of all groups")
     tasks = [(preset, t, s, seed, methods) for t in range(trials) for s in sigma_grid]
     rows = []
     for chunk in _map_tasks(_benchmark_task, tasks):
@@ -262,9 +252,10 @@ def run_landscape(
     Initializations: ``n_random`` random starts plus the spectral
     (``ppca``) start plus the planted-model (``oracle``) start.
     """
+    if n_random < 0:
+        raise ValueError("n_random must be >= 0")
     rows = []
-    for s_idx, v2 in enumerate(sigma2_squared_grid):
-        v2 = float(v2)
+    for s_idx, v2 in enumerate(_noise_levels(sigma2_squared_grid, "sigma2_squared_grid")):
         truth = preset_truth(np.sqrt(v2), seed, trial=s_idx)
         data = generate(truth, seed, trial=s_idx)
         runs = [("ppca", 0, "ppca"), ("oracle", 0, FactorModel(truth.F, truth.v))]
@@ -316,9 +307,10 @@ def minorizer_curves(data: GroupedData, rank: int, n_grid: int = 200, span: floa
     v_t = float(model.v[0])
     grid = np.geomspace(v_t / span, v_t * span, n_grid)
     grid = np.unique(np.concatenate([grid, [v_t]]))
+    coefs = group_coefficients(data, model)
     rows = []
-    for l, (B, n) in enumerate(zip(data.blocks, data.group_sizes)):
-        c = v_coefficients(B, model, n_samples=n)
+    for l in range(data.L):
+        c = coefs.group(l)
         obj_t = univariate_objective(c, v_t)
         for v in grid:
             rows.append(
@@ -370,6 +362,9 @@ def train_test_nrmse(
 ) -> list:
     """Pooled reconstruction error of the heteroscedastic fit vs the
     homoscedastic closed form, trained on a split and scored on both sides."""
+    sigma2 = _noise_levels((sigma2,), "sigma2")[0]
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rows = []
     for trial in range(trials):
         truth = preset_truth(sigma2, seed, trial)
@@ -385,7 +380,7 @@ def train_test_nrmse(
                 rows.append(
                     {
                         "trial": trial,
-                        "sigma2": float(sigma2),
+                        "sigma2": sigma2,
                         "method": method,
                         "metric": f"nrmse_{split}",
                         "value": nrmse(Y, U),

@@ -33,6 +33,12 @@ __all__ = ["main"]
 
 _METRIC_FIELDS = ["trial", "sigma2", "method", "metric", "value"]
 
+# the `fit` flags its model JSON echoes, in order
+_FIT_ECHO = (
+    "data", "rank", "method", "max_iters", "tol", "init", "block_rule",
+    "seed", "center", "compress", "v_tol", "loglik_tol",
+)
+
 
 def _floats(text: str) -> list:
     try:
@@ -170,24 +176,10 @@ def cmd_fit(args) -> int:
         loglik_tol=args.loglik_tol,
     )
     result = fit(data, cfg)
-    echo = {
-        "data": args.data,
-        "rank": args.rank,
-        "method": args.method,
-        "max_iters": args.max_iters,
-        "tol": args.tol,
-        "init": args.init,
-        "block_rule": args.block_rule,
-        "seed": args.seed,
-        "center": args.center,
-        "compress": args.compress,
-        "v_tol": args.v_tol,
-        "loglik_tol": args.loglik_tol,
-    }
     rec = model_record(
         result.model,
         loglik=result.trace.loglik[-1],
-        config_echo=echo,
+        config_echo={name: getattr(args, name) for name in _FIT_ECHO},
         seed=args.seed,
         trace=result.trace if args.trace else None,
     )

@@ -13,7 +13,8 @@ class NumericalError(RuntimeError):
 class DegenerateDataError(ValueError):
     """Input data lacks the residual spectrum an operation requires.
 
-    Example: spectral initialization on noiseless rank-k data, where the
-    trailing eigenvalue average is zero and no noise variance estimate
-    exists.
+    Examples: spectral initialization on noiseless rank-k data, where
+    the trailing eigenvalue average is zero and no noise variance
+    estimate exists; a fit in which a group's samples lie in the factor
+    subspace, so its noise variance reaches 0.  Maps to CLI exit code 2.
     """

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines
-from .errors import NumericalError
+from .errors import DegenerateDataError, NumericalError
 from .fupdate import em_update_F
 from .model import FactorModel, GroupedData, coefficient_loglik, group_coefficients, log_likelihood_parts
 from .model import v_coefficients  # noqa: F401  (perfbench's tracer wraps it here)
@@ -192,6 +192,12 @@ def fit(data: GroupedData, cfg: FitConfig) -> FitResult:
     Both block rules ascend, so a likelihood drop beyond the rounding
     slack is a defect: the fit counts such iterations on its trace and
     warns once through the ``heppcat`` logger.
+
+    A group whose samples lie in the factor subspace gets a zero
+    variance (the exact zero-residual branch).  The factor update needs
+    every variance positive, so the next iteration raises
+    :class:`DegenerateDataError` naming the group; a fit that stops
+    first returns the zero.
     """
     if not 1 <= cfg.rank < data.d:
         raise ValueError("need 1 <= rank < d")
@@ -205,6 +211,11 @@ def fit(data: GroupedData, cfg: FitConfig) -> FitResult:
     violations = 0
     worst_drop = 0.0
     for _ in range(cfg.max_iters):
+        if not model.v.all():
+            raise DegenerateDataError(
+                f"iteration {iterations + 1}: group {int(np.argmin(model.v)) + 1} has zero noise "
+                "variance (its samples lie in the factor subspace); the factor update needs v > 0"
+            )
         t0 = time.perf_counter()
         v_prev = model.v
         ll_prev = loglik[-1]

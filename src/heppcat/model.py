@@ -32,6 +32,11 @@ __all__ = [
 ZERO_EIGENVALUE_RTOL = 1e-30
 
 
+def _zero_set(gamma: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``gamma`` that are exact zeros at working precision."""
+    return gamma <= ZERO_EIGENVALUE_RTOL * max(1.0, float(gamma.max()))
+
+
 def normalize_column_signs(U: np.ndarray, Vt: np.ndarray | None = None):
     """Flip columns of ``U`` so each column's largest-magnitude entry is positive.
 
@@ -139,7 +144,9 @@ class FactorModel:
     in nonincreasing order.  Columns of ``U`` are sign-normalized so the
     largest-magnitude entry of each is positive.  ``v`` holds one noise
     variance per group; zeros are legal only as outputs of the exact
-    zero-residual branch of the noise updates.  ``spectral_terms`` holds
+    zero-residual branch of the noise updates, and ``fit`` stops with
+    :class:`~heppcat.errors.DegenerateDataError` before the next factor
+    update, which needs every variance positive.  ``spectral_terms`` holds
     the noise-objective coefficients shared by all groups:
     ``(alpha, gamma, zero_set)`` of :class:`VCoefficients`.
     """
@@ -178,8 +185,7 @@ class FactorModel:
         self.U, self.Vt = normalize_column_signs(U, Vt)
         self.lam = s**2
         gamma = np.concatenate(([0.0], self.lam))
-        zero_set = gamma <= ZERO_EIGENVALUE_RTOL * max(1.0, float(gamma.max()))
-        self.spectral_terms = (np.array([self.d - self.k] + [1.0] * self.k), gamma, zero_set)
+        self.spectral_terms = (np.array([self.d - self.k] + [1.0] * self.k), gamma, _zero_set(gamma))
 
     def _with_v(self, v: np.ndarray) -> "FactorModel":
         """The same factors and SVD with new variances ``v``, unchecked."""
@@ -236,7 +242,7 @@ class VCoefficients:
                 raise ValueError(f"{name} must be a nonempty vector")
             if not np.all(np.isfinite(arr)) or np.any(arr < 0):
                 raise ValueError(f"{name} must be finite and nonnegative")
-        self.zero_set = self.gamma <= ZERO_EIGENVALUE_RTOL * max(1.0, float(self.gamma.max()))
+        self.zero_set = _zero_set(self.gamma)
         self.beta_tilde = float(self.beta[self.zero_set].sum())
 
     @classmethod

@@ -48,7 +48,6 @@ __all__ = [
     "MINORIZER_KINDS",
 ]
 
-V_METHODS = ("rootfind", "em", "doc", "quad", "cubic")
 MINORIZER_KINDS = ("em", "doc", "quad", "cubic")
 
 _ISOLATION_WIDTH_RTOL = 1e-10
@@ -56,6 +55,23 @@ _ISOLATION_DEPTH_CAP = 60
 _BISECT_RTOL = 1e-13
 _DOC_ATOL = 1e-12
 _EPS = float(np.finfo(float).eps)
+
+
+def _check_positive(x, name: str) -> float:
+    """``x`` as a float, checked finite and positive."""
+    x = float(x)
+    if not math.isfinite(x) or x <= 0:
+        raise ValueError(f"{name} must be finite and positive")
+    return x
+
+
+def _bracket_terms(c: VCoefficients):
+    """``beta_j / alpha_j`` and ``gamma_j`` where ``alpha_j > 0``: the terms
+    of the rootfind and difference-of-concave upper brackets."""
+    if np.any((c.alpha == 0.0) & (c.beta > 0.0)):
+        raise ValueError("bracketing requires alpha > 0 wherever beta > 0")
+    active = c.alpha > 0.0
+    return c.beta[active] / c.alpha[active], c.gamma[active]
 
 
 def noise_floor(c: VCoefficients) -> float:
@@ -91,9 +107,7 @@ class MinorizerCoefficients:
 
     @classmethod
     def from_coefficients(cls, c: VCoefficients, v_t: float) -> "MinorizerCoefficients":
-        v_t = float(v_t)
-        if not math.isfinite(v_t) or v_t <= 0:
-            raise ValueError("anchor v_t must be finite and positive")
+        v_t = _check_positive(v_t, "anchor v_t")
         nz = ~c.zero_set
         a_nz, b_nz, g_nz = c.alpha[nz], c.beta[nz], c.gamma[nz]
         t = g_nz + v_t
@@ -174,23 +188,27 @@ def _newton_polish(c: VCoefficients, terms, v: float, lo: float, hi: float) -> f
     return v
 
 
-def _bisect_root(f, a: float, b: float, fa: float, fb: float) -> float:
-    """Plain bisection of a sign change down to ~1e-13 relative width."""
+def _bisect_root(
+    f, a: float, b: float, fa: float, fb: float, rtol: float = _BISECT_RTOL, atol: float = 0.0
+) -> float:
+    """Plain bisection of a sign change in ``[a, b]``, ``0 < a < b``, down to
+    width ``atol + rtol * m`` at the midpoint ``m``."""
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
+    a_positive = fa > 0
     for _ in range(200):
         m = 0.5 * (a + b)
-        if (b - a) <= _BISECT_RTOL * max(abs(m), 1e-300):
+        if (b - a) <= atol + rtol * m:
             return m
         fm = f(m)
         if fm == 0.0:
             return m
-        if (fa > 0) != (fm > 0):
-            b, fb = m, fm
+        if (fm > 0) == a_positive:
+            a = m
         else:
-            a, fa = m, fm
+            b = m
     return 0.5 * (a + b)
 
 
@@ -247,10 +265,8 @@ def update_v_rootfind(c: VCoefficients) -> float:
     """
     if c.beta_tilde == 0.0:
         return 0.0
-    if np.any((c.alpha == 0.0) & (c.beta > 0.0)):
-        raise ValueError("bracketing requires alpha > 0 wherever beta > 0")
-    active = c.alpha > 0.0
-    ratios = c.beta[active] / c.alpha[active] - c.gamma[active]
+    ratio, gamma = _bracket_terms(c)
+    ratios = ratio - gamma
     v_max = float(ratios.max())
     lo = max(noise_floor(c), float(ratios.min()))
     terms = _float_terms(c)
@@ -285,10 +301,7 @@ def _em_rho(c: VCoefficients, v_t: float) -> float:
 
 def update_v_em(c: VCoefficients, v_t: float) -> float:
     """Expectation-maximization update ``rho(v_t) / d``."""
-    v_t = float(v_t)
-    if not math.isfinite(v_t) or v_t <= 0:
-        raise ValueError("anchor v_t must be finite and positive")
-    return _em_rho(c, v_t) / c.ambient_dim
+    return _em_rho(c, _check_positive(v_t, "anchor v_t")) / c.ambient_dim
 
 
 def _inverse_square_sum(pairs, v: float) -> float:
@@ -310,22 +323,18 @@ def update_v_doc(c: VCoefficients, v_t: float) -> float:
     float sums over ``(beta_j, gamma_j)`` pairs, bit-identical to the
     numpy expression for ``k <= 6`` (see the module docstring).
     """
-    v_t = float(v_t)
-    if not math.isfinite(v_t) or v_t <= 0:
-        raise ValueError("anchor v_t must be finite and positive")
-    if np.any((c.alpha == 0.0) & (c.beta > 0.0)):
-        raise ValueError("bracketing requires alpha > 0 wherever beta > 0")
+    v_t = _check_positive(v_t, "anchor v_t")
+    ratio, gamma = _bracket_terms(c)
     zeta_full = float(np.sum(c.alpha / (c.gamma + v_t)))
-    nz = ~c.zero_set
-    slope0 = float(np.sum(c.beta[nz] / c.gamma[nz] ** 2))
-    if c.beta_tilde == 0.0 and slope0 <= zeta_full:
-        return 0.0
+    if c.beta_tilde == 0.0:
+        nz = ~c.zero_set
+        if float(np.sum(c.beta[nz] / c.gamma[nz] ** 2)) <= zeta_full:
+            return 0.0
 
     pairs = tuple(zip(c.beta.tolist(), c.gamma.tolist()))
     fdot = lambda v: _inverse_square_sum(pairs, v) - zeta_full
 
-    active = c.alpha > 0.0
-    hi = float(np.max(np.sqrt(c.beta[active] / c.alpha[active] * (c.gamma[active] + v_t)) - c.gamma[active]))
+    hi = float(np.max(np.sqrt(ratio * (gamma + v_t)) - gamma))
     lo = noise_floor(c)
     f_lo = fdot(lo)
     if f_lo <= 0.0:
@@ -335,20 +344,7 @@ def update_v_doc(c: VCoefficients, v_t: float) -> float:
     f_hi = fdot(hi)
     if f_hi > 0.0:
         raise NumericalError("difference-of-concave bracket upper endpoint is not past the zero")
-    atol = _DOC_ATOL * (1.0 + v_t)
-    a, b = lo, hi
-    for _ in range(200):
-        if (b - a) <= atol:
-            break
-        m = 0.5 * (a + b)
-        fm = fdot(m)
-        if fm == 0.0:
-            return m
-        if fm > 0.0:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
+    return _bisect_root(fdot, lo, hi, f_lo, f_hi, rtol=0.0, atol=_DOC_ATOL * (1.0 + v_t))
 
 
 def _positive_quadratic_root(zeta: float, alpha: float, rhs: float) -> float:
@@ -466,19 +462,21 @@ def update_v_cubic(c: VCoefficients, v_t: float) -> float:
     return float(candidates[int(np.argmax(values))])
 
 
+_UPDATES = {
+    "rootfind": lambda c, v_t: update_v_rootfind(c),
+    "em": update_v_em,
+    "doc": update_v_doc,
+    "quad": update_v_quadratic,
+    "cubic": update_v_cubic,
+}
+V_METHODS = tuple(_UPDATES)
+
+
 def update_v(method: str, c: VCoefficients, v_t: float | None = None) -> float:
     """Dispatch a noise-variance update by method name."""
-    if method == "rootfind":
-        return update_v_rootfind(c)
-    if method == "em":
-        return update_v_em(c, v_t)
-    if method == "doc":
-        return update_v_doc(c, v_t)
-    if method == "quad":
-        return update_v_quadratic(c, v_t)
-    if method == "cubic":
-        return update_v_cubic(c, v_t)
-    raise ValueError(f"unknown v update method: {method!r}")
+    if method not in _UPDATES:
+        raise ValueError(f"unknown v update method: {method!r}")
+    return _UPDATES[method](c, v_t)
 
 
 def eval_minorizer(kind: str, c: VCoefficients, v: float, v_t: float) -> float:
@@ -489,12 +487,7 @@ def eval_minorizer(kind: str, c: VCoefficients, v: float, v_t: float) -> float:
     every kind satisfies ``eval_minorizer(...) <= univariate_objective``
     for all positive ``v``.
     """
-    v = float(v)
-    v_t = float(v_t)
-    if not math.isfinite(v) or v <= 0:
-        raise ValueError("v must be finite and positive")
-    if not math.isfinite(v_t) or v_t <= 0:
-        raise ValueError("anchor v_t must be finite and positive")
+    v, v_t = _check_positive(v, "v"), _check_positive(v_t, "anchor v_t")
     raw = _raw_minorizer(kind, c, v_t)
     # grouping makes the anchored value exactly equal the objective at v_t
     return univariate_objective(c, v_t) + (raw(v) - raw(v_t))

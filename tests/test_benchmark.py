@@ -84,6 +84,28 @@ def test_benchmark_validation():
         run_benchmark("fig5", trials=1, methods=("wpca-inv",))
 
 
+@pytest.mark.parametrize(
+    "fn, kwargs, match",
+    [
+        (run_benchmark, dict(preset="fig3", trials=1, sigma_grid=()), "sigma_grid needs finite positive noise levels"),
+        (run_benchmark, dict(preset="fig3", trials=1, methods=()), "methods is empty"),
+        (run_benchmark, dict(preset="fig3", trials=1, sigma_grid=(1.0, -1.0)), "sigma_grid needs finite positive"),
+        (run_benchmark, dict(preset="fig3", trials=1, sigma_grid=(float("nan"),)), "sigma_grid"),
+        (run_benchmark, dict(preset="fig5", trials=1, methods=("ppca-group1",)), "variances of all groups"),
+        (run_landscape, dict(sigma2_squared_grid=()), "sigma2_squared_grid needs finite positive"),
+        (run_landscape, dict(sigma2_squared_grid=(0.0,)), "sigma2_squared_grid needs finite positive"),
+        (run_landscape, dict(sigma2_squared_grid=(-1.0,)), "sigma2_squared_grid"),
+        (run_landscape, dict(n_random=-3), "n_random"),
+        (train_test_nrmse, dict(trials=0), "trials"),
+        (train_test_nrmse, dict(sigma2=0.0), "sigma2 needs finite positive"),
+        (train_test_nrmse, dict(sigma2=float("inf")), "sigma2"),
+    ],
+)
+def test_experiment_inputs_rejected_at_entry(fn, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        fn(**kwargs)
+
+
 def test_split_into_blocks():
     data = GroupedData([np.arange(8.0).reshape(2, 4), np.ones((2, 2))])
     out = _split_into_blocks(data, 2)

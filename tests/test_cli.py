@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through ``heppcat.cli.main``."""
 
 import csv
+import inspect
 import os
 import pathlib
 import re
@@ -14,13 +15,19 @@ import pytest
 import heppcat
 from heppcat import (
     FitConfig,
+    GroupedData,
+    compress_gram,
+    fit,
     init_ppca,
+    minorizer_curves,
     read_dataset,
     read_json,
+    run_landscape,
     train_test_nrmse,
     univariate_objective,
     update_v_rootfind,
     v_coefficients,
+    write_dataset,
     write_rows,
 )
 from heppcat import _blas
@@ -239,6 +246,84 @@ def test_fit_parser_defaults_match_fit_config():
     args = build_parser().parse_args(["fit", "--data", "x.csv", "--rank", "2"])
     cfg = FitConfig(rank=2)
     assert (args.method, args.max_iters, args.tol) == (cfg.v_method, cfg.max_iters, cfg.tol)
+
+
+def _signature_defaults(fn):
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+
+def test_experiment_parser_defaults_match_signatures():
+    parser = build_parser()
+    land = parser.parse_args(["landscape"])
+    want = _signature_defaults(run_landscape)
+    assert tuple(land.sigma2_squared_grid) == want["sigma2_squared_grid"]
+    assert (land.random_inits, land.methods, land.max_iters, land.seed) == (
+        want["n_random"], [want["method"]], want["max_iters"], want["seed"]
+    )
+    tt = parser.parse_args(["train-test"])
+    want = _signature_defaults(train_test_nrmse)
+    assert (tt.sigma2, tt.trials, tt.rank, tt.fraction, tt.seed) == (
+        want["sigma2"], want["trials"], want["rank"], want["fraction"], want["seed"]
+    )
+    mino = parser.parse_args(["minorizers", "--data", "x.csv", "--rank", "2"])
+    want = _signature_defaults(minorizer_curves)
+    assert (mino.grid_points, mino.span) == (want["n_grid"], want["span"])
+
+
+def test_fit_config_echo_with_every_flag_set(tmp_path):
+    sim = simulate_small(tmp_path)
+    path = tmp_path / "model.json"
+    code = run([
+        "fit", "--data", sim / "data.csv", "--rank", 1, "--method", "cubic",
+        "--max-iters", 7, "--tol", "1e-9", "--init", "random",
+        "--block-rule", "max-improvement", "--seed", 4, "--center", "--compress",
+        "--trace", "--v-tol", "1e-5", "--loglik-tol", "1e-11", "--out", path,
+    ])
+    assert code in (0, 3)
+    rec = read_json(path)
+    assert rec["config_echo"] == {
+        "data": str(sim / "data.csv"), "rank": 1, "method": "cubic", "max_iters": 7,
+        "tol": 1e-9, "init": "random", "block_rule": "max-improvement", "seed": 4,
+        "center": True, "compress": True, "v_tol": 1e-5, "loglik_tol": 1e-11,
+    }
+    # the same fit through the library: the flags reached the config
+    data, _ = read_dataset(sim / "data.csv")
+    data = compress_gram(GroupedData([B - B.mean(axis=1, keepdims=True) for B in data.blocks]))
+    cfg = FitConfig(rank=1, v_method="cubic", max_iters=7, tol=1e-9, init="random",
+                    block_rule="max_improvement", seed=4, v_tol=1e-5, loglik_tol=1e-11)
+    res = fit(data, cfg)
+    assert rec["v"] == res.model.v.tolist()
+    assert rec["trace"]["loglik"] == res.trace.loglik.tolist()
+
+
+def test_simulate_config_echo(tmp_path):
+    out = simulate_small(tmp_path, extra=["--feature-blocks=-;5:2,15:4"])
+    assert read_json(out / "truth.json")["config_echo"] == {
+        "d": 20, "k": 2, "lambdas": [4.0, 1.0], "group_sizes": [40, 60],
+        "variances": [1.0, 4.0], "feature_blocks": "-;5:2,15:4",
+    }
+
+
+def test_fit_zero_variance_exit_2_names_the_group(tmp_path, capsys):
+    path = tmp_path / "zero.csv"
+    Y = np.random.default_rng(0).standard_normal((10, 50))
+    write_dataset(path, GroupedData([Y, np.zeros((10, 5))]))
+    code = run(["fit", "--data", path, "--rank", 2, "--method", "rootfind",
+                "--loglik-tol", "1e-10", "--out", tmp_path / "m.json"])
+    assert code == 2
+    assert "group 2 has zero noise variance" in capsys.readouterr().err
+
+
+def test_experiment_input_errors_exit_2(tmp_path, capsys):
+    for argv, name in (
+        (["benchmark", "--preset", "fig3", "--sigma-grid", ""], "sigma_grid"),
+        (["benchmark", "--preset", "fig3", "--methods", ""], "methods"),
+        (["train-test", "--trials", 0], "trials"),
+        (["landscape", "--random-inits", -3], "n_random"),
+    ):
+        assert run(argv + ["--out", tmp_path / "x.csv"]) == 2
+        assert name in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_fit_compress_matches_raw(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from heppcat import fitter
 
 from heppcat import (
+    DegenerateDataError,
     FactorModel,
     FitConfig,
     GroupedData,
@@ -249,3 +250,22 @@ def test_ascent_monitor_silent_on_normal_fits(rule, caplog):
             res = fit(data, FitConfig(rank=2, v_method=method, max_iters=60, tol=0.0, block_rule=rule))
             assert (res.trace.ascent_violations, res.trace.worst_drop) == (0, 0.0)
     assert not [r for r in caplog.records if r.name == "heppcat"]
+
+
+def zero_group_data():
+    # group 2's samples are all zero, so its residual energy vanishes
+    Y = np.random.default_rng(0).standard_normal((10, 50))
+    return GroupedData([Y, np.zeros((10, 5))])
+
+
+@pytest.mark.parametrize("method", ["rootfind", "doc", "quad", "cubic"])
+def test_zero_variance_mid_fit_raises_degenerate_data_error(method):
+    # these updates return exactly 0 on the zero-residual branch; the
+    # next factor update would need v > 0, so the fit names the group
+    data = zero_group_data()
+    with pytest.raises(DegenerateDataError, match=r"iteration \d+: group 2 has zero noise variance"):
+        fit(data, FitConfig(rank=2, v_method=method, loglik_tol=1e-10))
+    # a fit whose stopping rule fires in the same iteration returns the zero
+    r = fit(data, FitConfig(rank=2, v_method=method))
+    assert r.converged and r.iterations == 1
+    assert r.model.v[1] == 0.0 and r.model.v[0] > 0.0
