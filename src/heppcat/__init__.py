@@ -37,7 +37,7 @@ from .dataio import (
     write_rows,
 )
 from .errors import DegenerateDataError, NumericalError
-from .fitter import FitConfig, FitResult, FitTrace, fit, init_ppca, init_random
+from .fitter import FitConfig, FitResult, FitTrace, fit, init_random
 from .fupdate import compress_gram, em_update_F
 from .metrics import component_recovery, factor_error, nrmse, relative_bias, subspace_error
 from .model import (
@@ -97,7 +97,6 @@ __all__ = [
     "FitTrace",
     "FitResult",
     "fit",
-    "init_ppca",
     "init_random",
     "ppca_closed_form",
     "weighted_pca",

@@ -14,6 +14,7 @@ in-process).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import _blas
 from .baselines import ppca_closed_form, weighted_pca
-from .fitter import DEFAULT_V_METHOD, FitConfig, fit, init_ppca, init_random
+from .fitter import DEFAULT_V_METHOD, FitConfig, fit, init_random
 from .metrics import component_recovery, factor_error, nrmse, relative_bias, subspace_error
 from .model import FactorModel, GroupedData, group_coefficients, univariate_objective
 from .simgen import TruthModel, generate, haar_orthonormal, rng_stream
@@ -242,20 +243,25 @@ def _map_tasks(fn, tasks):
 def run_landscape(
     sigma2_squared_grid=(0.1, 1.0, 2.0, 3.0),
     n_random: int = 20,
-    method: str = "em",
+    methods=("em",),
     seed: int = 0,
     max_iters: int = 500,
 ) -> list:
     """Multi-initialization study; per-iteration gaps to the best
-    converged likelihood within each noise configuration.
+    converged likelihood within each noise configuration and method.
 
     Initializations: ``n_random`` random starts plus the spectral
-    (``ppca``) start plus the planted-model (``oracle``) start.
+    (``ppca``) start plus the planted-model (``oracle``) start.  Rows
+    come method by method, each in grid order.
     """
     if n_random < 0:
         raise ValueError("n_random must be >= 0")
+    levels = _noise_levels(sigma2_squared_grid, "sigma2_squared_grid")
+    methods = tuple(methods)
+    if not methods or not set(methods) <= set(V_METHODS):
+        raise ValueError(f"methods must be a nonempty list of {V_METHODS}, got {methods}")
     rows = []
-    for s_idx, v2 in enumerate(_noise_levels(sigma2_squared_grid, "sigma2_squared_grid")):
+    for method, (s_idx, v2) in itertools.product(methods, enumerate(levels)):
         truth = preset_truth(np.sqrt(v2), seed, trial=s_idx)
         data = generate(truth, seed, trial=s_idx)
         runs = [("ppca", 0, "ppca"), ("oracle", 0, FactorModel(truth.F, truth.v))]
@@ -303,7 +309,7 @@ def minorizer_curves(data: GroupedData, rank: int, n_grid: int = 200, span: floa
     zero at the anchor (the spectral initialization's noise variance)."""
     if n_grid < 2 or span <= 1.0:
         raise ValueError("need n_grid >= 2 and span > 1")
-    model = init_ppca(data, rank)
+    model = ppca_closed_form(data, rank)
     v_t = float(model.v[0])
     grid = np.geomspace(v_t / span, v_t * span, n_grid)
     grid = np.unique(np.concatenate([grid, [v_t]]))
@@ -341,11 +347,11 @@ def train_test_split(data: GroupedData, fraction: float, seed: int, trial: int =
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
     train_blocks, test_blocks = [], []
-    for l, (B, n) in enumerate(zip(data.blocks, data.group_sizes)):
+    for l, (B, n) in enumerate(zip(data.blocks, data.group_sizes), 1):
         n_train = int(round(n * fraction))
         if n_train < 1 or n - n_train < 1:
             raise ValueError(f"group {l}: split leaves an empty side")
-        perm = rng_stream(seed, 3, trial, l + 1).permutation(n)
+        perm = rng_stream(seed, 3, trial, l).permutation(n)
         train_blocks.append(B[:, perm[:n_train]])
         test_blocks.append(B[:, perm[n_train:]])
     return GroupedData(train_blocks), GroupedData(test_blocks)
@@ -358,7 +364,6 @@ def train_test_nrmse(
     rank: int = PRESET_K,
     fraction: float = 0.5,
     seed: int = 0,
-    v_method: str = "em",
 ) -> list:
     """Pooled reconstruction error of the heteroscedastic fit vs the
     homoscedastic closed form, trained on a split and scored on both sides."""
@@ -371,7 +376,7 @@ def train_test_nrmse(
         data = generate(truth, seed, trial)
         train, test = train_test_split(data, fraction, seed, trial)
         bases = {
-            "heppcat": _fit_heppcat(train, v_method, rank).U,
+            "heppcat": _fit_heppcat(train, DEFAULT_V_METHOD, rank).U,
             "ppca-full": ppca_closed_form(train, rank).U,
         }
         pooled = {"train": train.Y, "test": test.Y}

@@ -23,7 +23,7 @@ from . import _blas
 from . import benchmark as bench
 from .dataio import model_record, read_dataset, write_dataset, write_json, write_rows
 from .errors import NumericalError
-from .fitter import DEFAULT_MAX_ITERS, DEFAULT_TOL, DEFAULT_V_METHOD, FitConfig, fit
+from .fitter import DEFAULT_MAX_ITERS, DEFAULT_TOL, DEFAULT_V_METHOD, FitConfig, fit, init_random
 from .fupdate import compress_gram
 from .model import GroupedData
 from .simgen import TruthModel, generate, haar_orthonormal, rng_stream
@@ -88,10 +88,10 @@ def parse_feature_blocks(text: str, L: int) -> list:
     return out
 
 
-def _print_summary(rows, keys, value="value") -> None:
+def _print_summary(rows, keys) -> None:
     groups: dict = {}
     for r in rows:
-        groups.setdefault(tuple(r[k] for k in keys), []).append(r[value])
+        groups.setdefault(tuple(r[k] for k in keys), []).append(r["value"])
     header = list(keys) + ["median", "p25", "p75"]
     print("  ".join(f"{h:>14s}" for h in header))
     for key in sorted(groups):
@@ -163,15 +163,18 @@ def _load_data(args) -> GroupedData:
 
 def cmd_fit(args) -> int:
     data = _load_data(args)
+    init = "ppca"
+    if args.init == "random" and 1 <= args.rank < data.d:
+        # a bad rank is left to the config's and the fit's own errors
+        init = init_random(data.d, args.rank, data.L, args.seed)
     cfg = FitConfig(
         rank=args.rank,
         v_method=args.method,
         max_iters=args.max_iters,
         tol=args.tol,
-        init=args.init,
+        init=init,
         block_rule=args.block_rule.replace("-", "_"),
         record_trace=args.trace,
-        seed=args.seed,
         v_tol=args.v_tol,
         loglik_tol=args.loglik_tol,
     )
@@ -210,17 +213,13 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_landscape(args) -> int:
-    rows = []
-    for method in args.methods:
-        rows.extend(
-            bench.run_landscape(
-                sigma2_squared_grid=args.sigma2_squared_grid,
-                n_random=args.random_inits,
-                method=method,
-                seed=args.seed,
-                max_iters=args.max_iters,
-            )
-        )
+    rows = bench.run_landscape(
+        sigma2_squared_grid=args.sigma2_squared_grid,
+        n_random=args.random_inits,
+        methods=args.methods,
+        seed=args.seed,
+        max_iters=args.max_iters,
+    )
     fields = ["sigma2_squared", "method", "init", "run", "iteration", "loglik", "gap", "converged"]
     write_rows(args.out, fields, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")

@@ -6,10 +6,12 @@ whichever single-block update gains more likelihood
 (``max_improvement``).  Both blocks never decrease the likelihood, so
 traces are nondecreasing up to rounding.
 
-An iteration computes one SVD, of the updated factors, and one
-coefficient pass, a single ``U'Y`` projection.  The noise update keeps
-``U`` and ``lam``, so its model keeps the SVD and the iteration's
-likelihood comes from the same coefficients.
+An iteration computes one SVD, of the updated factors.  Under
+``alternate`` it computes two ``U'Y`` projections: the factor update
+projects onto the incoming basis and the coefficient pass onto the
+updated one, a product the next factor update repeats.  The noise
+update keeps ``U`` and ``lam``, so its model keeps the SVD and the
+iteration's likelihood comes from the same coefficients.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .model import FactorModel, GroupedData, coefficient_loglik, group_coefficie
 from .model import v_coefficients  # noqa: F401  (perfbench's tracer wraps it here)
 from .vupdate import V_METHODS, update_v
 
-__all__ = ["FitConfig", "FitTrace", "FitResult", "init_ppca", "init_random", "fit"]
+__all__ = ["FitConfig", "FitTrace", "FitResult", "init_random", "fit"]
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 1000
@@ -61,14 +63,12 @@ class FitConfig:
     tol : float
         Stop once ``||F_next - F|| / ||F|| <= tol``.
     init : str or FactorModel
-        ``"ppca"`` (pooled spectral closed form), ``"random"``, or an
-        explicit starting model.
+        ``"ppca"`` (the pooled spectral closed form) or an explicit
+        starting model, such as :func:`init_random`'s.
     block_rule : str
         ``"alternate"`` or ``"max_improvement"``.
     record_trace : bool
         Also record the per-iteration noise-variance iterates.
-    seed : int
-        Consumed only by the random initialization.
     v_tol : float or None
         Optional extra criterion: also require
         ``||v_next - v|| / ||v|| <= v_tol``.  Off (None) by default.
@@ -89,7 +89,6 @@ class FitConfig:
     init: object = "ppca"
     block_rule: str = "alternate"
     record_trace: bool = True
-    seed: int = 0
     v_tol: float | None = None
     loglik_tol: float | None = None
 
@@ -110,8 +109,8 @@ class FitConfig:
             raise ValueError(f"v_method must be one of {V_METHODS}")
         if self.block_rule not in _BLOCK_RULES:
             raise ValueError(f"block_rule must be one of {_BLOCK_RULES}")
-        if not isinstance(self.init, FactorModel) and self.init not in ("ppca", "random"):
-            raise ValueError("init must be 'ppca', 'random', or a FactorModel")
+        if not isinstance(self.init, FactorModel) and self.init != "ppca":
+            raise ValueError("init must be 'ppca' or a FactorModel")
 
 
 @dataclass
@@ -141,11 +140,6 @@ class FitResult:
     trace: FitTrace
 
 
-def init_ppca(data: GroupedData, k: int) -> FactorModel:
-    """Spectral initialization: the pooled homoscedastic closed form."""
-    return baselines.ppca_closed_form(data, k)
-
-
 def init_random(d: int, k: int, L: int, seed) -> FactorModel:
     """Random initialization: i.i.d. standard normal factor entries and
     variances uniform on ``[INIT_NOISE_FLOOR, 1)``."""
@@ -156,13 +150,11 @@ def init_random(d: int, k: int, L: int, seed) -> FactorModel:
 
 
 def _initial_model(data: GroupedData, cfg: FitConfig) -> FactorModel:
-    if isinstance(cfg.init, FactorModel):
-        if cfg.init.d != data.d or cfg.init.L != data.L or cfg.init.k != cfg.rank:
-            raise ValueError("explicit initial model does not match the data/config shapes")
-        return cfg.init
     if cfg.init == "ppca":
-        return init_ppca(data, cfg.rank)
-    return init_random(data.d, cfg.rank, data.L, cfg.seed)
+        return baselines.ppca_closed_form(data, cfg.rank)
+    if cfg.init.d != data.d or cfg.init.L != data.L or cfg.init.k != cfg.rank:
+        raise ValueError("explicit initial model does not match the data/config shapes")
+    return cfg.init
 
 
 def _v_pass(data: GroupedData, model: FactorModel, method: str):

@@ -88,7 +88,7 @@ class GroupedData:
         if not blocks:
             raise ValueError("need at least one group")
         d = blocks[0].shape[0] if blocks[0].ndim == 2 else -1
-        for i, B in enumerate(blocks):
+        for i, B in enumerate(blocks, 1):
             if B.ndim != 2 or B.shape[0] != d or d < 1:
                 raise ValueError(f"group {i}: expected a matrix with {d} rows, got shape {B.shape}")
             if B.shape[1] < 1:
@@ -100,11 +100,11 @@ class GroupedData:
         self.groups = np.repeat(np.arange(len(widths)), widths)
         finite = np.isfinite(self.Y).all(axis=0)
         if not finite.all():
-            raise ValueError(f"group {self.groups[finite.argmin()]}: non-finite entries")
+            raise ValueError(f"group {self.groups[finite.argmin()] + 1}: non-finite entries")
         self.group_sizes = tuple(int(n) for n in (widths if self.group_sizes is None else self.group_sizes))
         if len(self.group_sizes) != len(widths):
             raise ValueError("group_sizes length does not match blocks")
-        for i, (n, m) in enumerate(zip(self.group_sizes, widths)):
+        for i, (n, m) in enumerate(zip(self.group_sizes, widths), 1):
             if n < 1:
                 raise ValueError(f"group {i}: sample count must be >= 1")
             if m > n:
@@ -216,9 +216,9 @@ class VCoefficients:
 
     Index 0 carries the off-subspace residual (``gamma_0 = 0``,
     ``alpha_0 = d - k``); indices ``1..k`` carry the factor directions
-    (``alpha_j = 1``, ``gamma_j = lam_j``).  ``zero_set`` masks indices
-    whose ``gamma_j`` is an exact zero at working precision and
-    ``beta_tilde`` is their total energy.
+    (``alpha_j = 1``, ``gamma_j = lam_j``).  Derived, not passed:
+    ``zero_set`` masks indices whose ``gamma_j`` is an exact zero at
+    working precision and ``beta_tilde`` is their total energy.
 
     Inputs are checked when a caller builds one.  :func:`group_coefficients`
     builds them unchecked for all groups at once, with one row of ``beta``
@@ -228,8 +228,8 @@ class VCoefficients:
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
-    zero_set: np.ndarray = None
-    beta_tilde: float = None
+    zero_set: np.ndarray = field(init=False)
+    beta_tilde: float = field(init=False)
 
     def __post_init__(self):
         self.alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))

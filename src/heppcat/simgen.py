@@ -59,7 +59,7 @@ class TruthModel:
         if self.feature_blocks is not None:
             if len(self.feature_blocks) != self.L:
                 raise ValueError("feature_blocks needs one entry per group")
-            for l, spec in enumerate(self.feature_blocks):
+            for l, spec in enumerate(self.feature_blocks, 1):
                 if spec is None:
                     continue
                 counts = [int(cnt) for cnt, _ in spec]

@@ -85,8 +85,7 @@ class MinorizerCoefficients:
 
     ``alpha_tilde`` / ``beta_tilde`` aggregate the zero-gamma indices,
     which both surrogates keep exactly.  On the remaining indices:
-    ``zeta`` is the total linearized log slope, ``pi`` the convexity
-    split weights ``gamma_j / (gamma_j + v_t)``, ``B_bar`` the total
+    ``zeta`` is the total linearized log slope, ``B_bar`` the total
     ``1/v`` mass of the quadratic surrogate, ``curvature`` the constant
     ``c_j = -2 beta_j / gamma_j^3`` bounding the second derivative of
     ``-beta_j/(gamma_j + v)`` from below over ``v >= 0``, and ``gamma_t``
@@ -100,7 +99,6 @@ class MinorizerCoefficients:
     B_bar: float
     gamma_t: float
     c_bar: float
-    pi: np.ndarray
     curvature: np.ndarray
     gamma_nz: np.ndarray = field(repr=False)
     beta_nz: np.ndarray = field(repr=False)
@@ -123,7 +121,6 @@ class MinorizerCoefficients:
             B_bar=B_bar,
             gamma_t=gamma_t,
             c_bar=float(curvature.sum()),
-            pi=g_nz / t,
             curvature=curvature,
             gamma_nz=g_nz,
             beta_nz=b_nz,

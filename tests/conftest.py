@@ -63,15 +63,27 @@ def grid_argmax(fn, lo, hi, num=100_000):
     return float(grid[i]), float(vals[i])
 
 
+# grid points per slice: bounds each (k + 1) x slice temporary, and each
+# column's sum over the k + 1 rows is the same as without slicing
+_GRID_SLICE = 2**15
+
+
+def _on_grid(term, c, grid):
+    grid = np.asarray(grid, dtype=float)
+    out = np.empty(grid.shape)
+    for i in range(0, grid.size, _GRID_SLICE):
+        t = c.gamma[:, None] + grid[None, i : i + _GRID_SLICE]
+        out[i : i + _GRID_SLICE] = term(c, t).sum(axis=0)
+    return out
+
+
 def objective_on_grid(c, grid):
     """Vectorized re-statement of the univariate objective (independent oracle)."""
-    t = c.gamma[:, None] + np.asarray(grid)[None, :]
-    return -(c.alpha[:, None] * np.log(t) + c.beta[:, None] / t).sum(axis=0)
+    return -_on_grid(lambda c, t: c.alpha[:, None] * np.log(t) + c.beta[:, None] / t, c, grid)
 
 
 def derivative_on_grid(c, grid):
-    t = c.gamma[:, None] + np.asarray(grid)[None, :]
-    return (-c.alpha[:, None] / t + c.beta[:, None] / t**2).sum(axis=0)
+    return _on_grid(lambda c, t: -c.alpha[:, None] / t + c.beta[:, None] / t**2, c, grid)
 
 
 @pytest.fixture

@@ -99,6 +99,8 @@ def test_benchmark_validation():
         (train_test_nrmse, dict(trials=0), "trials"),
         (train_test_nrmse, dict(sigma2=0.0), "sigma2 needs finite positive"),
         (train_test_nrmse, dict(sigma2=float("inf")), "sigma2"),
+        (run_landscape, dict(methods=()), "methods must be a nonempty list"),
+        (run_landscape, dict(methods=("em", "newton")), "methods must be a nonempty list"),
     ],
 )
 def test_experiment_inputs_rejected_at_entry(fn, kwargs, match):
@@ -205,6 +207,12 @@ def test_landscape_rows_and_oracle_start():
     best = max(r["loglik"] for r in final.values() if r["converged"])
     for r in rows:
         assert r["gap"] == pytest.approx(best - r["loglik"], abs=1e-9)
+
+
+def test_landscape_runs_methods_in_order():
+    kw = dict(sigma2_squared_grid=(1.0, 2.0), n_random=1, seed=0, max_iters=30)
+    both = run_landscape(methods=("doc", "em"), **kw)
+    assert both == run_landscape(methods=("doc",), **kw) + run_landscape(methods=("em",), **kw)
 
 
 def test_train_test_split_partitions():

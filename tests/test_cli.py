@@ -18,8 +18,9 @@ from heppcat import (
     GroupedData,
     compress_gram,
     fit,
-    init_ppca,
+    init_random,
     minorizer_curves,
+    ppca_closed_form,
     read_dataset,
     read_json,
     run_landscape,
@@ -258,7 +259,7 @@ def test_experiment_parser_defaults_match_signatures():
     want = _signature_defaults(run_landscape)
     assert tuple(land.sigma2_squared_grid) == want["sigma2_squared_grid"]
     assert (land.random_inits, land.methods, land.max_iters, land.seed) == (
-        want["n_random"], [want["method"]], want["max_iters"], want["seed"]
+        want["n_random"], list(want["methods"]), want["max_iters"], want["seed"]
     )
     tt = parser.parse_args(["train-test"])
     want = _signature_defaults(train_test_nrmse)
@@ -289,8 +290,9 @@ def test_fit_config_echo_with_every_flag_set(tmp_path):
     # the same fit through the library: the flags reached the config
     data, _ = read_dataset(sim / "data.csv")
     data = compress_gram(GroupedData([B - B.mean(axis=1, keepdims=True) for B in data.blocks]))
-    cfg = FitConfig(rank=1, v_method="cubic", max_iters=7, tol=1e-9, init="random",
-                    block_rule="max_improvement", seed=4, v_tol=1e-5, loglik_tol=1e-11)
+    cfg = FitConfig(rank=1, v_method="cubic", max_iters=7, tol=1e-9,
+                    init=init_random(data.d, 1, data.L, 4),
+                    block_rule="max_improvement", v_tol=1e-5, loglik_tol=1e-11)
     res = fit(data, cfg)
     assert rec["v"] == res.model.v.tolist()
     assert rec["trace"]["loglik"] == res.trace.loglik.tolist()
@@ -323,6 +325,12 @@ def test_experiment_input_errors_exit_2(tmp_path, capsys):
     ):
         assert run(argv + ["--out", tmp_path / "x.csv"]) == 2
         assert name in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_landscape_rejects_empty_methods(tmp_path, capsys):
+    assert run(["landscape", "--methods", "", "--out", tmp_path / "x.csv"]) == 2
+    assert "methods" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -438,7 +446,7 @@ def test_minorizers_cli(tmp_path):
         curves.setdefault((int(r["group"]), r["curve"]), {})[float(r["v"])] = float(r["value"])
 
     data, _ = read_dataset(sim / "data.csv")
-    model = init_ppca(data, 2)
+    model = ppca_closed_form(data, 2)
     v_t = float(model.v[0])
     for group in (1, 2):
         obj = curves[(group, "objective")]

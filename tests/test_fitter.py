@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from heppcat import fitter
+from heppcat.benchmark import _FIT_KW, preset_truth
 
 from heppcat import (
     DegenerateDataError,
@@ -17,7 +18,6 @@ from heppcat import (
     fit,
     generate,
     haar_orthonormal,
-    init_ppca,
     init_random,
     log_likelihood_parts,
     ppca_closed_form,
@@ -72,7 +72,7 @@ def test_trace_shapes_and_semantics():
     assert len(r.trace.f_change) == n_it
     assert len(r.trace.seconds) == n_it
     assert r.trace.v.shape == (n_it + 1, 2)
-    init_ll = log_likelihood_parts(data, init_ppca(data, 2))
+    init_ll = log_likelihood_parts(data, ppca_closed_form(data, 2))
     assert r.trace.loglik[0] == pytest.approx(init_ll)
     assert r.trace.f_change[-1] <= 1e-8
     assert np.all(r.trace.seconds >= 0)
@@ -170,11 +170,16 @@ def test_explicit_and_random_inits():
     start = init_random(data.d, 2, data.L, seed=3)
     r = fit(data, FitConfig(rank=2, init=start, max_iters=300, tol=1e-8))
     assert r.trace.loglik[0] == pytest.approx(log_likelihood_parts(data, start))
-    r2 = fit(data, FitConfig(rank=2, init="random", seed=3, max_iters=300, tol=1e-8))
+    r2 = fit(data, FitConfig(rank=2, init=init_random(data.d, 2, data.L, 3), max_iters=300, tol=1e-8))
     assert r2.trace.loglik[0] == pytest.approx(r.trace.loglik[0])
     # different seeds start elsewhere
-    r3 = fit(data, FitConfig(rank=2, init="random", seed=4, max_iters=1))
+    r3 = fit(data, FitConfig(rank=2, init=init_random(data.d, 2, data.L, 4), max_iters=1))
     assert r3.trace.loglik[0] != pytest.approx(r.trace.loglik[0])
+
+
+def test_random_start_is_an_explicit_model():
+    with pytest.raises(ValueError, match="init must be 'ppca' or a FactorModel"):
+        FitConfig(rank=1, init="random")
 
 
 def test_init_random_moments():
@@ -269,3 +274,29 @@ def test_zero_variance_mid_fit_raises_degenerate_data_error(method):
     r = fit(data, FitConfig(rank=2, v_method=method))
     assert r.converged and r.iterations == 1
     assert r.model.v[1] == 0.0 and r.model.v[0] > 0.0
+
+
+def _rel_err(a, b) -> float:
+    return float(np.linalg.norm(np.asarray(a) - b) / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("method", V_METHODS)
+def test_fit_respects_scaling_and_group_order(method):
+    # Scaling the data by c scales the variances by c**2 and the factors
+    # by c and shifts the likelihood by -n*d*ln(c); reversing the groups
+    # reverses the variances and keeps F F' and the likelihood.  Both hold
+    # whatever the rounding path, so the fits also stop together.
+    data = generate(preset_truth(2.0, seed=0), seed=0)
+    cfg = FitConfig(rank=3, v_method=method, **_FIT_KW)
+    base = fit(data, cfg)
+    for c in (2.0, 3.0):
+        r = fit(GroupedData([c * B for B in data.blocks]), cfg)
+        assert r.iterations == base.iterations
+        assert _rel_err(r.trace.v, c * c * base.trace.v) <= 1e-10
+        assert _rel_err(r.model.F, c * base.model.F) <= 1e-10
+        assert _rel_err(r.trace.loglik, base.trace.loglik - data.n * data.d * np.log(c)) <= 1e-10
+    r = fit(GroupedData(data.blocks[::-1]), cfg)
+    assert r.iterations == base.iterations
+    assert _rel_err(r.trace.v[:, ::-1], base.trace.v) <= 1e-10
+    assert _rel_err(r.model.F @ r.model.F.T, base.model.F @ base.model.F.T) <= 1e-10
+    assert _rel_err(r.trace.loglik, base.trace.loglik) <= 1e-10

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from heppcat import (
     FactorModel,
     GroupedData,
+    TruthModel,
     VCoefficients,
     log_likelihood_direct,
     log_likelihood_parts,
     normalize_column_signs,
+    train_test_split,
     univariate_derivative,
     univariate_objective,
     v_coefficients,
@@ -54,6 +56,31 @@ class TestGroupedData:
         assert np.array_equal(data.blocks[1], Y[:, 2:])
         with pytest.raises(ValueError):
             GroupedData.from_samples(Y, (2, 3))
+
+
+_ONES = np.ones((2, 2))
+
+
+def _truth_with_blocks(spec):
+    return TruthModel(U=np.eye(2)[:, :1], lam=[1.0], v=[1.0, 1.0], group_sizes=(2, 2),
+                      feature_blocks=[None, spec])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GroupedData([_ONES, np.ones((3, 2))]), "expected a matrix with 2 rows"),
+    (lambda: GroupedData([_ONES, np.ones((2, 0))]), "empty sample block"),
+    (lambda: GroupedData([_ONES, np.full((2, 2), np.nan)]), "non-finite entries"),
+    (lambda: GroupedData([_ONES, _ONES], (2, 0)), "sample count must be >= 1"),
+    (lambda: GroupedData([_ONES, np.ones((2, 3))], (2, 2)), "block has more columns than samples"),
+    (lambda: train_test_split(GroupedData([np.ones((2, 4)), np.ones((2, 1))]), 0.5, seed=0),
+     "split leaves an empty side"),
+    (lambda: _truth_with_blocks([(1, 1.0)]), "feature-block counts must be positive"),
+    (lambda: _truth_with_blocks([(2, -1.0)]), "negative feature-block variance"),
+], ids=["rows", "empty", "non-finite", "count", "columns", "split", "block-counts", "block-variance"])
+def test_data_errors_number_groups_from_1(build, message):
+    # every fault here is in the second group
+    with pytest.raises(ValueError, match="^group 2: " + message):
+        build()
 
 
 class TestFactorModel:

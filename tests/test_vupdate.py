@@ -127,7 +127,6 @@ def test_minorizer_coefficient_invariants(rng):
         assert m.alpha_tilde >= 1.0  # contains alpha_0 = d - k >= 1
         assert m.zeta >= 0.0
         assert m.B_bar >= c.beta_tilde - 1e-15
-        assert np.all((m.pi > 0) & (m.pi < 1))
         assert np.all(m.curvature <= 0)
         assert m.c_bar <= 0.0
 
