@@ -2,14 +2,14 @@
 
 All sweeps use the two-group planted model (d=100, k=3, factor
 variances (4, 2, 1), 200 samples at noise variance 1 and 800 samples at
-noise variance ``sigma2**2``) unless noted.  Worker processes are used
-for independent (trial, sigma2) tasks, and every task runs on one BLAS
-thread, in a worker or in-process alike.  The BLAS thread count changes
-rounding, so sweep rows do not depend on the pool size or on the core
-count; rows are sorted afterwards so parallelism never changes the
-artifact.  The environment variable HEPPCAT_THREADS caps the pool (0 or
-unset uses every CPU this process may run on; 1 runs serially
-in-process).
+noise variance ``sigma2**2``) unless noted.  Every study (benchmark,
+landscape, train-test) is a list of independent tasks that one worker
+pool runs, and every task runs on one BLAS thread, in a worker or
+in-process alike.  The BLAS thread count changes rounding, and the pool
+returns results in task order, so rows do not depend on the pool size
+or on the core count.  The environment variable HEPPCAT_THREADS caps
+the pool (0 or unset uses every CPU this process may run on; 1 runs
+serially in-process).
 """
 
 from __future__ import annotations
@@ -74,12 +74,19 @@ FIG6_BLOCK_SIZES = (1, 10, 100)
 _FIT_KW = dict(max_iters=1000, tol=1e-8, loglik_tol=1e-10)
 
 
+def _distinct(values: tuple, name: str) -> tuple:
+    """``values``, unless one of them repeats."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} repeats a value, got {values}")
+    return values
+
+
 def _noise_levels(values, name: str) -> tuple:
-    """``values`` as a nonempty tuple of finite positive floats."""
+    """``values`` as a nonempty tuple of distinct finite positive floats."""
     levels = tuple(float(s) for s in values)
     if not levels or not all(math.isfinite(s) and s > 0 for s in levels):
         raise ValueError(f"{name} needs finite positive noise levels, got {levels}")
-    return levels
+    return _distinct(levels, name)
 
 
 def worker_count() -> int:
@@ -205,7 +212,7 @@ def run_benchmark(preset: str, trials: int, sigma_grid=None, methods=None, seed:
         raise ValueError("trials must be >= 1")
     default_sigma, default_methods = _PRESET_DEFAULTS[preset]
     sigma_grid = _noise_levels(default_sigma if sigma_grid is None else sigma_grid, "sigma_grid")
-    methods = default_methods if methods is None else tuple(methods)
+    methods = _distinct(default_methods if methods is None else tuple(methods), "methods")
     if not methods:
         raise ValueError("methods is empty")
     for m in methods:
@@ -239,7 +246,35 @@ def _map_tasks(fn, tasks):
 # likelihood landscape
 
 
-@_blas.pinned(1)
+def _landscape_task(payload: tuple) -> list:
+    method, s_idx, v2, seed, n_random, max_iters = payload
+    truth = preset_truth(np.sqrt(v2), seed, trial=s_idx)
+    data = generate(truth, seed, trial=s_idx)
+    runs = [("ppca", 0, "ppca"), ("oracle", 0, FactorModel(truth.F, truth.v))]
+    runs += [
+        ("random", r, init_random(truth.d, truth.k, truth.L, rng_stream(seed, 2, s_idx, r)))
+        for r in range(n_random)
+    ]
+    kw = dict(rank=truth.k, v_method=method, max_iters=max_iters, tol=1e-8, loglik_tol=1e-9)
+    results = [(name, run, fit(data, FitConfig(init=init, **kw))) for name, run, init in runs]
+    converged = [r.trace.loglik[-1] for _, _, r in results if r.converged]
+    best = max(converged) if converged else max(r.trace.loglik[-1] for _, _, r in results)
+    return [
+        {
+            "sigma2_squared": v2,
+            "method": method,
+            "init": name,
+            "run": run,
+            "iteration": it,
+            "loglik": float(ll),
+            "gap": float(best - ll),
+            "converged": bool(res.converged),
+        }
+        for name, run, res in results
+        for it, ll in enumerate(res.trace.loglik)
+    ]
+
+
 def run_landscape(
     sigma2_squared_grid=(0.1, 1.0, 2.0, 3.0),
     n_random: int = 20,
@@ -256,47 +291,17 @@ def run_landscape(
     """
     if n_random < 0:
         raise ValueError("n_random must be >= 0")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     levels = _noise_levels(sigma2_squared_grid, "sigma2_squared_grid")
-    methods = tuple(methods)
+    methods = _distinct(tuple(methods), "methods")
     if not methods or not set(methods) <= set(V_METHODS):
         raise ValueError(f"methods must be a nonempty list of {V_METHODS}, got {methods}")
-    rows = []
-    for method, (s_idx, v2) in itertools.product(methods, enumerate(levels)):
-        truth = preset_truth(np.sqrt(v2), seed, trial=s_idx)
-        data = generate(truth, seed, trial=s_idx)
-        runs = [("ppca", 0, "ppca"), ("oracle", 0, FactorModel(truth.F, truth.v))]
-        runs += [
-            ("random", r, init_random(truth.d, truth.k, truth.L, rng_stream(seed, 2, s_idx, r)))
-            for r in range(n_random)
-        ]
-        results = []
-        for name, run, init in runs:
-            cfg = FitConfig(
-                rank=truth.k,
-                v_method=method,
-                init=init,
-                max_iters=max_iters,
-                tol=1e-8,
-                loglik_tol=1e-9,
-            )
-            results.append((name, run, fit(data, cfg)))
-        converged = [r.trace.loglik[-1] for _, _, r in results if r.converged]
-        best = max(converged) if converged else max(r.trace.loglik[-1] for _, _, r in results)
-        for name, run, res in results:
-            for it, ll in enumerate(res.trace.loglik):
-                rows.append(
-                    {
-                        "sigma2_squared": v2,
-                        "method": method,
-                        "init": name,
-                        "run": run,
-                        "iteration": it,
-                        "loglik": float(ll),
-                        "gap": float(best - ll),
-                        "converged": bool(res.converged),
-                    }
-                )
-    return rows
+    tasks = [
+        (method, s_idx, v2, seed, n_random, max_iters)
+        for method, (s_idx, v2) in itertools.product(methods, enumerate(levels))
+    ]
+    return [row for rows in _map_tasks(_landscape_task, tasks) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +347,51 @@ def minorizer_curves(data: GroupedData, rank: int, n_grid: int = 200, span: floa
 # ---------------------------------------------------------------------------
 # train/test reconstruction
 
+def _train_counts(group_sizes, fraction: float) -> list:
+    """Training samples per group when ``fraction`` of each group trains."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+    counts = [int(round(n * fraction)) for n in group_sizes]
+    for l, (n, n_train) in enumerate(zip(group_sizes, counts), 1):
+        if n_train < 1 or n - n_train < 1:
+            raise ValueError(f"group {l}: split leaves an empty side at fraction {fraction}")
+    return counts
+
+
 def train_test_split(data: GroupedData, fraction: float, seed: int, trial: int = 0):
     """Per-group random split into train and test subsets."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be in (0, 1)")
     train_blocks, test_blocks = [], []
-    for l, (B, n) in enumerate(zip(data.blocks, data.group_sizes), 1):
-        n_train = int(round(n * fraction))
-        if n_train < 1 or n - n_train < 1:
-            raise ValueError(f"group {l}: split leaves an empty side")
+    counts = _train_counts(data.group_sizes, fraction)
+    for l, (B, n, n_train) in enumerate(zip(data.blocks, data.group_sizes, counts), 1):
         perm = rng_stream(seed, 3, trial, l).permutation(n)
         train_blocks.append(B[:, perm[:n_train]])
         test_blocks.append(B[:, perm[n_train:]])
     return GroupedData(train_blocks), GroupedData(test_blocks)
 
 
-@_blas.pinned(1)
+def _train_test_task(payload: tuple) -> list:
+    trial, sigma2, seed, rank, fraction = payload
+    truth = preset_truth(sigma2, seed, trial)
+    data = generate(truth, seed, trial)
+    train, test = train_test_split(data, fraction, seed, trial)
+    bases = {
+        "heppcat": _fit_heppcat(train, DEFAULT_V_METHOD, rank).U,
+        "ppca-full": ppca_closed_form(train, rank).U,
+    }
+    pooled = {"train": train.Y, "test": test.Y}
+    return [
+        {
+            "trial": trial,
+            "sigma2": sigma2,
+            "method": method,
+            "metric": f"nrmse_{split}",
+            "value": nrmse(Y, U),
+        }
+        for method, U in bases.items()
+        for split, Y in pooled.items()
+    ]
+
+
 def train_test_nrmse(
     sigma2: float = 2.0,
     trials: int = 20,
@@ -370,26 +404,8 @@ def train_test_nrmse(
     sigma2 = _noise_levels((sigma2,), "sigma2")[0]
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rows = []
-    for trial in range(trials):
-        truth = preset_truth(sigma2, seed, trial)
-        data = generate(truth, seed, trial)
-        train, test = train_test_split(data, fraction, seed, trial)
-        bases = {
-            "heppcat": _fit_heppcat(train, DEFAULT_V_METHOD, rank).U,
-            "ppca-full": ppca_closed_form(train, rank).U,
-        }
-        pooled = {"train": train.Y, "test": test.Y}
-        for method, U in bases.items():
-            for split, Y in pooled.items():
-                rows.append(
-                    {
-                        "trial": trial,
-                        "sigma2": sigma2,
-                        "method": method,
-                        "metric": f"nrmse_{split}",
-                        "value": nrmse(Y, U),
-                    }
-                )
-    rows.sort(key=lambda r: (r["trial"], r["sigma2"], r["method"]))
-    return rows
+    if not 1 <= rank < PRESET_D:
+        raise ValueError(f"rank must be in [1, {PRESET_D}), got {rank}")
+    _train_counts(PRESET_SIZES, fraction)
+    tasks = [(trial, sigma2, seed, rank, fraction) for trial in range(trials)]
+    return [row for rows in _map_tasks(_train_test_task, tasks) for row in rows]

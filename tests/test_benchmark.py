@@ -101,9 +101,24 @@ def test_benchmark_validation():
         (train_test_nrmse, dict(sigma2=float("inf")), "sigma2"),
         (run_landscape, dict(methods=()), "methods must be a nonempty list"),
         (run_landscape, dict(methods=("em", "newton")), "methods must be a nonempty list"),
+        (run_benchmark, dict(preset="fig3", trials=1, sigma_grid=(1.0, 1)), "sigma_grid repeats"),
+        (run_benchmark, dict(preset="fig3", trials=1, methods=("ppca-full",) * 2), "methods repeats"),
+        (run_landscape, dict(sigma2_squared_grid=(1.0, 1.0)), "sigma2_squared_grid repeats"),
+        (run_landscape, dict(methods=("em", "doc", "em")), "methods repeats"),
+        (run_landscape, dict(max_iters=0), "max_iters"),
+        (train_test_nrmse, dict(fraction=1.5), "fraction must be in"),
+        (train_test_nrmse, dict(fraction=0.001), "empty side at fraction 0.001"),
+        (train_test_nrmse, dict(fraction=0.999), "empty side at fraction 0.999"),
+        (train_test_nrmse, dict(rank=0), "rank"),
+        (train_test_nrmse, dict(rank=100), "rank"),
     ],
 )
-def test_experiment_inputs_rejected_at_entry(fn, kwargs, match):
+def test_experiment_inputs_rejected_at_entry(fn, kwargs, match, monkeypatch):
+    # at entry means before the first dataset is drawn
+    def no_draw(*args):
+        raise AssertionError("drew a dataset")
+
+    monkeypatch.setattr("heppcat.benchmark.generate", no_draw)
     with pytest.raises(ValueError, match=match):
         fn(**kwargs)
 
@@ -118,13 +133,24 @@ def test_split_into_blocks():
         _split_into_blocks(data, 3)
 
 
-def test_benchmark_rows_do_not_depend_on_pool_size(monkeypatch):
+@pytest.mark.parametrize(
+    "study, kwargs",
+    [
+        (run_benchmark, dict(preset="fig3", trials=2, sigma_grid=(0.5,), methods=("heppcat-em", "ppca-full"))),
+        (run_landscape, dict(sigma2_squared_grid=(1.0, 2.0), n_random=1, max_iters=30)),
+        (train_test_nrmse, dict(trials=2)),
+    ],
+    ids=["run_benchmark", "run_landscape", "train_test_nrmse"],
+)
+def test_benchmark_rows_do_not_depend_on_pool_size(study, kwargs, monkeypatch):
     # BLAS thread counts change rounding, so this holds only when the
     # serial path and the pool workers run on the same count
-    kw = dict(trials=2, sigma_grid=(0.5,), methods=("heppcat-em", "ppca-full"), seed=0)
-    serial = run_benchmark("fig3", **kw)
+    serial = study(seed=0, **kwargs)
     monkeypatch.setenv("HEPPCAT_THREADS", "2")
-    assert run_benchmark("fig3", **kw) == serial
+    assert study(seed=0, **kwargs) == serial
+    if study is train_test_nrmse:
+        keys = [(r["trial"], r["sigma2"], r["method"]) for r in serial]
+        assert keys == sorted(keys)
 
 
 def _blas_thread_counts(_):

@@ -170,8 +170,6 @@ def test_explicit_and_random_inits():
     start = init_random(data.d, 2, data.L, seed=3)
     r = fit(data, FitConfig(rank=2, init=start, max_iters=300, tol=1e-8))
     assert r.trace.loglik[0] == pytest.approx(log_likelihood_parts(data, start))
-    r2 = fit(data, FitConfig(rank=2, init=init_random(data.d, 2, data.L, 3), max_iters=300, tol=1e-8))
-    assert r2.trace.loglik[0] == pytest.approx(r.trace.loglik[0])
     # different seeds start elsewhere
     r3 = fit(data, FitConfig(rank=2, init=init_random(data.d, 2, data.L, 4), max_iters=1))
     assert r3.trace.loglik[0] != pytest.approx(r.trace.loglik[0])
