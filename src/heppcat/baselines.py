@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDataError
-from .model import FactorModel, GroupedData, normalize_column_signs
+from .model import FactorModel, GroupedData, _count, normalize_column_signs
 
 __all__ = ["ppca_closed_form", "weighted_pca"]
 
@@ -34,9 +34,7 @@ def ppca_closed_form(data: GroupedData, k: int) -> FactorModel:
         When ``lam_bar`` is zero at working precision (e.g. noiseless
         rank-k data), leaving no maximum-likelihood noise variance.
     """
-    k = int(k)
-    if not 1 <= k < data.d:
-        raise ValueError("need 1 <= k < d")
+    k = _count(k, "k", 1, data.d, "need 1 <= k < d")
     if data.n < k + 1:
         raise ValueError("need at least k + 1 samples")
     w, Q = _pooled_spectrum(data)
@@ -60,8 +58,6 @@ def weighted_pca(data: GroupedData, weights, k: int) -> np.ndarray:
         raise ValueError("need one weight per group")
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
         raise ValueError("weights must be finite and positive")
-    k = int(k)
-    if not 1 <= k <= data.d:
-        raise ValueError("need 1 <= k <= d")
+    k = _count(k, "k", 1, data.d + 1, "need 1 <= k <= d")
     w, Q = np.linalg.eigh((data.Y * weights[data.groups]) @ data.Y.T)
     return normalize_column_signs(Q[:, ::-1][:, :k])

@@ -25,7 +25,7 @@ from . import _blas
 from .baselines import ppca_closed_form, weighted_pca
 from .fitter import DEFAULT_V_METHOD, FitConfig, fit, init_random
 from .metrics import component_recovery, factor_error, nrmse, relative_bias, subspace_error
-from .model import FactorModel, GroupedData, group_coefficients, univariate_objective
+from .model import FactorModel, GroupedData, _count, group_coefficients, univariate_objective
 from .simgen import TruthModel, generate, haar_orthonormal, rng_stream
 from .vupdate import MINORIZER_KINDS, V_METHODS, eval_minorizer
 
@@ -203,13 +203,12 @@ def _benchmark_task(payload: tuple) -> list:
     return rows
 
 
-def run_benchmark(preset: str, trials: int, sigma_grid=None, methods=None, seed: int = 0) -> list:
+def run_benchmark(preset: str, trials: int = 20, sigma_grid=None, methods=None, seed: int = 0) -> list:
     """Monte Carlo sweep; returns long-format rows sorted by
     (trial, sigma2, method)."""
     if preset not in PRESETS:
         raise ValueError(f"preset must be one of {PRESETS}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _count(trials, "trials", 1)
     default_sigma, default_methods = _PRESET_DEFAULTS[preset]
     sigma_grid = _noise_levels(default_sigma if sigma_grid is None else sigma_grid, "sigma_grid")
     methods = _distinct(default_methods if methods is None else tuple(methods), "methods")
@@ -289,10 +288,8 @@ def run_landscape(
     (``ppca``) start plus the planted-model (``oracle``) start.  Rows
     come method by method, each in grid order.
     """
-    if n_random < 0:
-        raise ValueError("n_random must be >= 0")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    n_random = _count(n_random, "n_random")
+    max_iters = _count(max_iters, "max_iters", 1)
     levels = _noise_levels(sigma2_squared_grid, "sigma2_squared_grid")
     methods = _distinct(tuple(methods), "methods")
     if not methods or not set(methods) <= set(V_METHODS):
@@ -312,8 +309,10 @@ def run_landscape(
 def minorizer_curves(data: GroupedData, rank: int, n_grid: int = 200, span: float = 100.0) -> list:
     """Objective and all four anchored surrogates per group, shifted to
     zero at the anchor (the spectral initialization's noise variance)."""
-    if n_grid < 2 or span <= 1.0:
-        raise ValueError("need n_grid >= 2 and span > 1")
+    bad = "need n_grid >= 2 and span > 1"
+    n_grid = _count(n_grid, "n_grid", 2, error=bad)
+    if span <= 1.0:
+        raise ValueError(bad)
     model = ppca_closed_form(data, rank)
     v_t = float(model.v[0])
     grid = np.geomspace(v_t / span, v_t * span, n_grid)
@@ -402,10 +401,8 @@ def train_test_nrmse(
     """Pooled reconstruction error of the heteroscedastic fit vs the
     homoscedastic closed form, trained on a split and scored on both sides."""
     sigma2 = _noise_levels((sigma2,), "sigma2")[0]
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 1 <= rank < PRESET_D:
-        raise ValueError(f"rank must be in [1, {PRESET_D}), got {rank}")
+    trials = _count(trials, "trials", 1)
+    rank = _count(rank, "rank", 1, PRESET_D)
     _train_counts(PRESET_SIZES, fraction)
     tasks = [(trial, sigma2, seed, rank, fraction) for trial in range(trials)]
     return [row for rows in _map_tasks(_train_test_task, tasks) for row in rows]

@@ -9,6 +9,12 @@ written), 4 numerical failure.
 
 All artifacts are deterministic given ``--seed``; wall-clock timings
 are deliberately kept out of the files so reruns are byte-identical.
+
+The study commands (``benchmark``, ``landscape``, ``train-test``,
+``minorizers``) pass their library function only the flags given, each
+under the parameter's name, so their defaults are the library's.
+``simulate`` and ``fit`` hold their own defaults: the echoed
+configurations record every value.
 """
 
 from __future__ import annotations
@@ -198,14 +204,13 @@ def cmd_fit(args) -> int:
     return 0 if result.converged else 3
 
 
+def _study_kwargs(args) -> dict:
+    """The flags the user gave a study command, keyed by library parameter."""
+    return {name: value for name, value in vars(args).items() if name not in ("command", "func", "out")}
+
+
 def cmd_benchmark(args) -> int:
-    rows = bench.run_benchmark(
-        args.preset,
-        trials=args.trials,
-        sigma_grid=args.sigma_grid,
-        methods=args.methods,
-        seed=args.seed,
-    )
+    rows = bench.run_benchmark(**_study_kwargs(args))
     write_rows(args.out, _METRIC_FIELDS, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     _print_summary(rows, ("sigma2", "method", "metric"))
@@ -213,13 +218,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_landscape(args) -> int:
-    rows = bench.run_landscape(
-        sigma2_squared_grid=args.sigma2_squared_grid,
-        n_random=args.random_inits,
-        methods=args.methods,
-        seed=args.seed,
-        max_iters=args.max_iters,
-    )
+    rows = bench.run_landscape(**_study_kwargs(args))
     fields = ["sigma2_squared", "method", "init", "run", "iteration", "loglik", "gap", "converged"]
     write_rows(args.out, fields, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
@@ -242,13 +241,7 @@ def cmd_landscape(args) -> int:
 
 
 def cmd_train_test(args) -> int:
-    rows = bench.train_test_nrmse(
-        sigma2=args.sigma2,
-        trials=args.trials,
-        rank=args.rank,
-        fraction=args.fraction,
-        seed=args.seed,
-    )
+    rows = bench.train_test_nrmse(**_study_kwargs(args))
     write_rows(args.out, _METRIC_FIELDS, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     _print_summary(rows, ("method", "metric"))
@@ -256,8 +249,9 @@ def cmd_train_test(args) -> int:
 
 
 def cmd_minorizers(args) -> int:
-    data, _ = read_dataset(args.data)
-    rows = bench.minorizer_curves(data, args.rank, n_grid=args.grid_points, span=args.span)
+    kwargs = _study_kwargs(args)
+    data, _ = read_dataset(kwargs.pop("data"))
+    rows = bench.minorizer_curves(data, **kwargs)
     write_rows(args.out, ["group", "v", "curve", "value"], rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -316,40 +310,44 @@ def build_parser() -> argparse.ArgumentParser:
     fitp.add_argument("--out", default="model.json")
     fitp.set_defaults(func=cmd_fit)
 
-    ben = sub.add_parser("benchmark", help="Monte Carlo sweep over noise levels and methods")
+    # the study commands leave every flag the user did not give to the
+    # library's own default
+    study = dict(argument_default=argparse.SUPPRESS)
+
+    ben = sub.add_parser("benchmark", help="Monte Carlo sweep over noise levels and methods", **study)
     ben.add_argument("--preset", required=True, choices=list(bench.PRESETS))
-    ben.add_argument("--trials", type=int, default=20)
-    ben.add_argument("--sigma-grid", type=_floats, default=None)
-    ben.add_argument("--methods", type=_tokens, default=None)
-    ben.add_argument("--seed", type=int, default=0)
+    ben.add_argument("--trials", type=int)
+    ben.add_argument("--sigma-grid", type=_floats)
+    ben.add_argument("--methods", type=_tokens)
+    ben.add_argument("--seed", type=int)
     ben.add_argument("--out", default="metrics.csv")
     ben.set_defaults(func=cmd_benchmark)
 
-    land = sub.add_parser("landscape", help="multi-initialization likelihood study")
-    land.add_argument("--sigma2-squared-grid", type=_floats, default=[0.1, 1.0, 2.0, 3.0])
-    land.add_argument("--random-inits", type=int, default=20)
-    land.add_argument("--methods", type=_tokens, default=["em"])
-    land.add_argument("--max-iters", type=int, default=500)
-    land.add_argument("--seed", type=int, default=0)
+    land = sub.add_parser("landscape", help="multi-initialization likelihood study", **study)
+    land.add_argument("--sigma2-squared-grid", type=_floats)
+    land.add_argument("--random-inits", dest="n_random", type=int)
+    land.add_argument("--methods", type=_tokens)
+    land.add_argument("--max-iters", type=int)
+    land.add_argument("--seed", type=int)
     land.add_argument("--out", default="gaps.csv")
     land.set_defaults(func=cmd_landscape)
 
     tt = sub.add_parser(
-        "train-test", help="reconstruction error of fits trained on half of each group"
+        "train-test", help="reconstruction error of fits trained on half of each group", **study
     )
-    tt.add_argument("--sigma2", type=float, default=2.0)
-    tt.add_argument("--trials", type=int, default=20)
-    tt.add_argument("--rank", type=int, default=3)
-    tt.add_argument("--fraction", type=float, default=0.5)
-    tt.add_argument("--seed", type=int, default=0)
+    tt.add_argument("--sigma2", type=float)
+    tt.add_argument("--trials", type=int)
+    tt.add_argument("--rank", type=int)
+    tt.add_argument("--fraction", type=float)
+    tt.add_argument("--seed", type=int)
     tt.add_argument("--out", default="nrmse.csv")
     tt.set_defaults(func=cmd_train_test)
 
-    mino = sub.add_parser("minorizers", help="dump objective and surrogate curves per group")
+    mino = sub.add_parser("minorizers", help="dump objective and surrogate curves per group", **study)
     mino.add_argument("--data", required=True)
     mino.add_argument("--rank", type=int, required=True)
-    mino.add_argument("--grid-points", type=int, default=200)
-    mino.add_argument("--span", type=float, default=100.0)
+    mino.add_argument("--grid-points", dest="n_grid", type=int)
+    mino.add_argument("--span", type=float)
     mino.add_argument("--out", default="curves.csv")
     mino.set_defaults(func=cmd_minorizers)
 

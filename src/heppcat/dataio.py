@@ -19,6 +19,7 @@ import numpy as np
 from .model import FactorModel, GroupedData
 
 __all__ = [
+    "SCHEMA_VERSION",
     "write_dataset",
     "write_rows",
     "read_dataset",

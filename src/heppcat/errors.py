@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["NumericalError", "DegenerateDataError"]
+
 
 class NumericalError(RuntimeError):
     """An iterative numerical routine failed to produce a usable result.

@@ -25,7 +25,7 @@ import numpy as np
 from . import baselines
 from .errors import DegenerateDataError, NumericalError
 from .fupdate import em_update_F
-from .model import FactorModel, GroupedData, coefficient_loglik, group_coefficients, log_likelihood_parts
+from .model import FactorModel, GroupedData, _count, coefficient_loglik, group_coefficients, log_likelihood_parts
 from .model import v_coefficients  # noqa: F401  (perfbench's tracer wraps it here)
 from .vupdate import V_METHODS, update_v
 
@@ -93,12 +93,8 @@ class FitConfig:
     loglik_tol: float | None = None
 
     def __post_init__(self):
-        if int(self.rank) < 1:
-            raise ValueError("rank must be >= 1")
-        self.rank = int(self.rank)
-        if int(self.max_iters) < 1:
-            raise ValueError("max_iters must be >= 1")
-        self.max_iters = int(self.max_iters)
+        self.rank = _count(self.rank, "rank", 1)
+        self.max_iters = _count(self.max_iters, "max_iters", 1)
         if not (np.isfinite(self.tol) and self.tol >= 0):
             raise ValueError("tol must be finite and nonnegative")
         for name in ("v_tol", "loglik_tol"):
@@ -144,6 +140,7 @@ def init_random(d: int, k: int, L: int, seed) -> FactorModel:
     """Random initialization: i.i.d. standard normal factor entries and
     variances uniform on ``[INIT_NOISE_FLOOR, 1)``."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    d, k, L = _count(d, "d"), _count(k, "k"), _count(L, "L")
     F = rng.standard_normal((d, k))
     v = INIT_NOISE_FLOOR + (1.0 - INIT_NOISE_FLOOR) * rng.random(L)
     return FactorModel(F, v)

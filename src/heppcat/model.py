@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,23 @@ def normalize_column_signs(U: np.ndarray, Vt: np.ndarray | None = None):
     Vt = np.array(Vt, dtype=float, copy=True)
     Vt[flip, :] *= -1.0
     return U, Vt
+
+
+def _count(value, name: str, low: int = 0, high: int | None = None, error: str | None = None) -> int:
+    """``value`` as an int, if it is a whole number in ``[low, high)``.
+
+    Otherwise a ``ValueError``: one naming ``name`` for a value that is
+    not a whole number, and ``error`` (by default one naming the range)
+    for a whole number out of range.
+    """
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    n = int(value)
+    if n < low or (high is not None and n >= high):
+        if error is None:
+            error = f"{name} must be >= {low}" if high is None else f"{name} must be in [{low}, {high}), got {n}"
+        raise ValueError(error)
+    return n
 
 
 @dataclass
@@ -101,12 +119,11 @@ class GroupedData:
         finite = np.isfinite(self.Y).all(axis=0)
         if not finite.all():
             raise ValueError(f"group {self.groups[finite.argmin()] + 1}: non-finite entries")
-        self.group_sizes = tuple(int(n) for n in (widths if self.group_sizes is None else self.group_sizes))
+        sizes = widths if self.group_sizes is None else self.group_sizes
+        self.group_sizes = tuple(_count(n, f"group {i}: sample count", 1) for i, n in enumerate(sizes, 1))
         if len(self.group_sizes) != len(widths):
             raise ValueError("group_sizes length does not match blocks")
         for i, (n, m) in enumerate(zip(self.group_sizes, widths), 1):
-            if n < 1:
-                raise ValueError(f"group {i}: sample count must be >= 1")
             if m > n:
                 raise ValueError(f"group {i}: block has more columns than samples")
         self.counts = np.array(self.group_sizes, dtype=float)
@@ -129,7 +146,7 @@ class GroupedData:
     def from_samples(cls, Y: np.ndarray, group_sizes) -> "GroupedData":
         """Split a ``d x n`` sample matrix into consecutive column blocks."""
         Y = np.asarray(Y, dtype=float)
-        sizes = [int(n) for n in group_sizes]
+        sizes = [_count(n, f"group {i}: sample count") for i, n in enumerate(group_sizes, 1)]
         if sum(sizes) != Y.shape[1]:
             raise ValueError("group sizes must sum to the number of columns")
         return cls(np.split(Y, np.cumsum(sizes)[:-1], axis=1))

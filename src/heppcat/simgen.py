@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GroupedData
+from .model import GroupedData, _count
 
 __all__ = ["TruthModel", "rng_stream", "haar_orthonormal", "generate"]
 
@@ -46,7 +46,7 @@ class TruthModel:
         self.U = np.asarray(self.U, dtype=float)
         self.lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
         self.v = np.atleast_1d(np.asarray(self.v, dtype=float))
-        self.group_sizes = tuple(int(n) for n in self.group_sizes)
+        self.group_sizes = tuple(_count(n, "group sizes", 1) for n in self.group_sizes)
         d, k = self.U.shape
         if self.lam.shape != (k,) or np.any(self.lam < 0):
             raise ValueError("lam must hold k nonnegative factor variances")
@@ -54,19 +54,21 @@ class TruthModel:
             raise ValueError("U must have orthonormal columns")
         if self.v.shape != (len(self.group_sizes),) or np.any(self.v < 0):
             raise ValueError("v must hold one nonnegative variance per group")
-        if any(n < 1 for n in self.group_sizes):
-            raise ValueError("group sizes must be >= 1")
         if self.feature_blocks is not None:
             if len(self.feature_blocks) != self.L:
                 raise ValueError("feature_blocks needs one entry per group")
+            blocks = []
             for l, spec in enumerate(self.feature_blocks, 1):
-                if spec is None:
-                    continue
-                counts = [int(cnt) for cnt, _ in spec]
-                if any(cnt < 1 for cnt in counts) or sum(counts) != d:
-                    raise ValueError(f"group {l}: feature-block counts must be positive and sum to d")
-                if any(var < 0 for _, var in spec):
-                    raise ValueError(f"group {l}: negative feature-block variance")
+                if spec is not None:
+                    bad = f"group {l}: feature-block counts must be positive and sum to d"
+                    name = f"group {l}: feature-block count"
+                    spec = [(_count(cnt, name, 1, error=bad), var) for cnt, var in spec]
+                    if sum(cnt for cnt, _ in spec) != d:
+                        raise ValueError(bad)
+                    if any(var < 0 for _, var in spec):
+                        raise ValueError(f"group {l}: negative feature-block variance")
+                blocks.append(spec)
+            self.feature_blocks = blocks
 
     @property
     def d(self) -> int:
@@ -89,7 +91,7 @@ class TruthModel:
         """Per-feature noise standard deviations of group ``l``."""
         if self.feature_blocks is not None and self.feature_blocks[l] is not None:
             sd = np.concatenate(
-                [np.full(int(cnt), np.sqrt(float(var))) for cnt, var in self.feature_blocks[l]]
+                [np.full(cnt, np.sqrt(float(var))) for cnt, var in self.feature_blocks[l]]
             )
         else:
             sd = np.full(self.d, np.sqrt(self.v[l]))
@@ -102,8 +104,8 @@ def haar_orthonormal(d: int, k: int, seed) -> np.ndarray:
     QR of a standard Gaussian matrix with the sign of ``diag(R)``
     absorbed into ``Q``, which removes the QR sign ambiguity.
     """
-    if not 1 <= k <= d:
-        raise ValueError("need 1 <= k <= d")
+    k = _count(k, "k", 1, error="need 1 <= k <= d")
+    d = _count(d, "d", k, error="need 1 <= k <= d")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     Q, R = np.linalg.qr(rng.standard_normal((d, k)))
     s = np.sign(np.diag(R))

@@ -12,9 +12,12 @@ import pytest
 from heppcat import (
     GroupedData,
     PRESETS,
+    component_recovery,
+    factor_error,
     generate,
     log_likelihood_direct,
     FactorModel,
+    ppca_closed_form,
     preset_truth,
     run_benchmark,
     run_landscape,
@@ -66,9 +69,17 @@ def test_benchmark_common_random_numbers():
     rows = run_benchmark(
         "fig3", trials=1, sigma_grid=(1.0,), methods=("ppca-group1", "ppca-group2"), seed=0
     )
-    t = preset_truth(1.0, seed=0, trial=0)
-    data = generate(t, 0, 0)
-    assert data.blocks[0].shape == (100, 200)
+    truth = preset_truth(1.0, 0, 0)
+    data = generate(truth, 0, 0)
+    with _blas.pinned(1):
+        for g, method in enumerate(("ppca-group1", "ppca-group2")):
+            model = ppca_closed_form(GroupedData([data.blocks[g]]), 3)
+            want = {"factor_error": factor_error(model.F, truth.F)}
+            want.update(
+                (f"recovery{j + 1}", float(r))
+                for j, r in enumerate(component_recovery(model.U, truth.U))
+            )
+            assert {r["metric"]: r["value"] for r in rows if r["method"] == method} == want
 
 
 def test_benchmark_validation():
@@ -111,6 +122,10 @@ def test_benchmark_validation():
         (train_test_nrmse, dict(fraction=0.999), "empty side at fraction 0.999"),
         (train_test_nrmse, dict(rank=0), "rank"),
         (train_test_nrmse, dict(rank=100), "rank"),
+        (run_landscape, dict(n_random=0.5), "n_random must be a whole number"),
+        (run_landscape, dict(max_iters=1.5), "max_iters must be a whole number"),
+        (train_test_nrmse, dict(trials=1.5), "trials must be a whole number"),
+        (run_benchmark, dict(preset="fig3", trials=1.5), "trials must be a whole number"),
     ],
 )
 def test_experiment_inputs_rejected_at_entry(fn, kwargs, match, monkeypatch):

@@ -1,9 +1,11 @@
 """End-to-end command-line tests driven through ``heppcat.cli.main``."""
 
 import csv
+import importlib
 import inspect
 import os
 import pathlib
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -19,11 +21,9 @@ from heppcat import (
     compress_gram,
     fit,
     init_random,
-    minorizer_curves,
     ppca_closed_form,
     read_dataset,
     read_json,
-    run_landscape,
     train_test_nrmse,
     univariate_objective,
     update_v_rootfind,
@@ -169,6 +169,27 @@ def test_import_loads_numpy_only():
     assert out.stdout.strip() == "False"
 
 
+def test_export_registry():
+    # the package star-imports its modules, where a name two modules
+    # export would silently shadow the other
+    from heppcat import cli
+
+    owners = {}
+    for info in pkgutil.iter_modules(heppcat.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"heppcat.{info.name}")
+        for name in module.__all__:
+            assert hasattr(module, name), (info.name, name)
+            assert name not in owners, (name, owners.get(name), module)
+            owners[name] = module
+    assert len(heppcat.__all__) == len(set(heppcat.__all__))
+    assert set(heppcat.__all__) == set(owners) - set(cli.__all__) | {"__version__"}
+    for name in heppcat.__all__:
+        if name != "__version__":
+            assert getattr(heppcat, name) is getattr(owners[name], name), name
+
+
 def test_fit_trace_excludes_wall_times(tmp_path):
     sim = simulate_small(tmp_path)
     path = tmp_path / "model.json"
@@ -249,26 +270,45 @@ def test_fit_parser_defaults_match_fit_config():
     assert (args.method, args.max_iters, args.tol) == (cfg.v_method, cfg.max_iters, cfg.tol)
 
 
-def _signature_defaults(fn):
-    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+# study command -> (library function, required flags and what they pass,
+# every other flag and what it passes)
+_STUDY_FLAGS = {
+    "benchmark": (
+        "run_benchmark", ["--preset", "fig5"], dict(preset="fig5"),
+        ["--trials", 3, "--sigma-grid", "1,2", "--methods", "heppcat", "--seed", 4],
+        dict(trials=3, sigma_grid=[1.0, 2.0], methods=["heppcat"], seed=4),
+    ),
+    "landscape": (
+        "run_landscape", [], {},
+        ["--sigma2-squared-grid", "0.5", "--random-inits", 2, "--methods", "em,doc",
+         "--max-iters", 9, "--seed", 4],
+        dict(sigma2_squared_grid=[0.5], n_random=2, methods=["em", "doc"], max_iters=9, seed=4),
+    ),
+    "train-test": (
+        "train_test_nrmse", [], {},
+        ["--sigma2", 1.5, "--trials", 2, "--rank", 2, "--fraction", 0.4, "--seed", 4],
+        dict(sigma2=1.5, trials=2, rank=2, fraction=0.4, seed=4),
+    ),
+    "minorizers": (
+        "minorizer_curves", ["--data", "x.csv", "--rank", 2], dict(rank=2),
+        ["--grid-points", 7, "--span", 10.0], dict(n_grid=7, span=10.0),
+    ),
+}
 
 
-def test_experiment_parser_defaults_match_signatures():
-    parser = build_parser()
-    land = parser.parse_args(["landscape"])
-    want = _signature_defaults(run_landscape)
-    assert tuple(land.sigma2_squared_grid) == want["sigma2_squared_grid"]
-    assert (land.random_inits, land.methods, land.max_iters, land.seed) == (
-        want["n_random"], list(want["methods"]), want["max_iters"], want["seed"]
-    )
-    tt = parser.parse_args(["train-test"])
-    want = _signature_defaults(train_test_nrmse)
-    assert (tt.sigma2, tt.trials, tt.rank, tt.fraction, tt.seed) == (
-        want["sigma2"], want["trials"], want["rank"], want["fraction"], want["seed"]
-    )
-    mino = parser.parse_args(["minorizers", "--data", "x.csv", "--rank", "2"])
-    want = _signature_defaults(minorizer_curves)
-    assert (mino.grid_points, mino.span) == (want["n_grid"], want["span"])
+def test_study_commands_pass_only_given_flags(tmp_path, capsys, monkeypatch):
+    # a flag left out reaches the library as its own default
+    monkeypatch.setattr("heppcat.cli.read_dataset", lambda path: (path, None))
+    for command, (study, required, want_required, every, want_every) in _STUDY_FLAGS.items():
+        params = set(inspect.signature(getattr(heppcat, study)).parameters)
+        calls = []
+        monkeypatch.setattr(f"heppcat.benchmark.{study}", lambda *args, **kwargs: calls.append(kwargs) or [])
+        for flags in (required, required + every):
+            assert run([command, *flags, "--out", tmp_path / "x.csv"]) == 0
+        assert calls == [want_required, {**want_required, **want_every}], command
+        # with every flag set, every parameter but the data is passed
+        assert set(calls[1]) == params - {"data"}, command
+    capsys.readouterr()
 
 
 def test_fit_config_echo_with_every_flag_set(tmp_path):

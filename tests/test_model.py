@@ -7,16 +7,23 @@ from hypothesis import strategies as st
 
 from heppcat import (
     FactorModel,
+    FitConfig,
     GroupedData,
     TruthModel,
     VCoefficients,
+    haar_orthonormal,
+    init_random,
     log_likelihood_direct,
     log_likelihood_parts,
+    minorizer_curves,
     normalize_column_signs,
+    ppca_closed_form,
+    run_benchmark,
     train_test_split,
     univariate_derivative,
     univariate_objective,
     v_coefficients,
+    weighted_pca,
 )
 from conftest import random_model_and_data, segment_edge_cases
 
@@ -56,6 +63,9 @@ class TestGroupedData:
         assert np.array_equal(data.blocks[1], Y[:, 2:])
         with pytest.raises(ValueError):
             GroupedData.from_samples(Y, (2, 3))
+        # a negative size summing to the column count once split silently
+        with pytest.raises(ValueError, match="group 1: sample count must be >= 0"):
+            GroupedData.from_samples(Y, (-1, 7))
 
 
 _ONES = np.ones((2, 2))
@@ -81,6 +91,49 @@ def test_data_errors_number_groups_from_1(build, message):
     # every fault here is in the second group
     with pytest.raises(ValueError, match="^group 2: " + message):
         build()
+
+
+_DATA = GroupedData([np.random.default_rng(0).standard_normal((4, 12)), np.ones((4, 1))])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: GroupedData([_ONES], group_sizes=(2.9,)), "group 1: sample count"),
+    (lambda: GroupedData.from_samples(np.ones((2, 5)), (2.5, 2.5)), "group 1: sample count"),
+    (lambda: FitConfig(rank=2.7), "rank"),
+    (lambda: FitConfig(rank=2, max_iters=10.5), "max_iters"),
+    (lambda: FitConfig(rank="2"), "rank"),
+    (lambda: ppca_closed_form(_DATA, 2.5), "k"),
+    (lambda: weighted_pca(_DATA, [1.0, 2.0], 1.5), "k"),
+    (lambda: init_random(5, 2.5, 2, 0), "k"),
+    (lambda: init_random(5, 2, float("nan"), 0), "L"),
+    (lambda: haar_orthonormal(5.5, 2, 0), "d"),
+    (lambda: minorizer_curves(_DATA, 1, n_grid=2.5), "n_grid"),
+    (lambda: TruthModel(U=np.eye(2)[:, :1], lam=[1.0], v=[1.0], group_sizes=(2.5,)), "group sizes"),
+    (lambda: _truth_with_blocks([(1.5, 1.0), (0.5, 1.0)]), "group 2: feature-block count"),
+], ids=["group-sizes", "from-samples", "rank", "max-iters", "rank-text", "ppca-k", "wpca-k",
+        "init-k", "init-L", "haar-d", "n-grid", "truth-sizes", "truth-blocks"])
+def test_counts_must_be_whole_numbers(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+        call()
+
+
+@pytest.mark.parametrize("three", [3, np.int64(3), 3.0], ids=["int", "int64", "float"])
+def test_whole_number_counts_accepted(three, monkeypatch):
+    monkeypatch.setenv("HEPPCAT_THREADS", "1")
+    assert GroupedData([np.ones((2, 3))], group_sizes=(three,)).group_sizes == (3,)
+    assert GroupedData.from_samples(np.ones((2, 6)), (three, three)).group_sizes == (3, 3)
+    cfg = FitConfig(rank=three, max_iters=three)
+    assert (cfg.rank, cfg.max_iters) == (3, 3) and type(cfg.rank) is type(cfg.max_iters) is int
+    assert ppca_closed_form(_DATA, three).k == 3
+    assert weighted_pca(_DATA, [1.0, 2.0], three).shape == (4, 3)
+    assert init_random(5, three, 2, 0).k == 3
+    assert haar_orthonormal(three, three, 0).shape == (3, 3)
+    assert minorizer_curves(_DATA, 1, n_grid=three) == minorizer_curves(_DATA, 1, n_grid=3)
+    truth = TruthModel(U=np.eye(3)[:, :1], lam=[1.0], v=[1.0], group_sizes=(three,),
+                       feature_blocks=[[(three, 2.0)]])
+    assert truth.group_sizes == (3,) and np.array_equal(truth.noise_std(0), np.full(3, np.sqrt(2.0)))
+    rows = run_benchmark("fig3", trials=three, sigma_grid=(1.0,), methods=("ppca-full",))
+    assert sorted({r["trial"] for r in rows}) == [0, 1, 2]
 
 
 class TestFactorModel:
