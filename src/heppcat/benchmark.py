@@ -25,7 +25,7 @@ from . import _blas
 from .baselines import ppca_closed_form, weighted_pca
 from .fitter import DEFAULT_V_METHOD, FitConfig, fit, init_random
 from .metrics import component_recovery, factor_error, nrmse, relative_bias, subspace_error
-from .model import FactorModel, GroupedData, _count, group_coefficients, univariate_objective
+from .model import FactorModel, GroupedData, _count, _whole, group_coefficients, univariate_objective
 from .simgen import TruthModel, generate, haar_orthonormal, rng_stream
 from .vupdate import MINORIZER_KINDS, V_METHODS, eval_minorizer
 
@@ -209,6 +209,7 @@ def run_benchmark(preset: str, trials: int = 20, sigma_grid=None, methods=None, 
     if preset not in PRESETS:
         raise ValueError(f"preset must be one of {PRESETS}")
     trials = _count(trials, "trials", 1)
+    seed = _whole(seed, "seed")
     default_sigma, default_methods = _PRESET_DEFAULTS[preset]
     sigma_grid = _noise_levels(default_sigma if sigma_grid is None else sigma_grid, "sigma_grid")
     methods = _distinct(default_methods if methods is None else tuple(methods), "methods")
@@ -290,6 +291,7 @@ def run_landscape(
     """
     n_random = _count(n_random, "n_random")
     max_iters = _count(max_iters, "max_iters", 1)
+    seed = _whole(seed, "seed")
     levels = _noise_levels(sigma2_squared_grid, "sigma2_squared_grid")
     methods = _distinct(tuple(methods), "methods")
     if not methods or not set(methods) <= set(V_METHODS):
@@ -311,7 +313,7 @@ def minorizer_curves(data: GroupedData, rank: int, n_grid: int = 200, span: floa
     zero at the anchor (the spectral initialization's noise variance)."""
     bad = "need n_grid >= 2 and span > 1"
     n_grid = _count(n_grid, "n_grid", 2, error=bad)
-    if span <= 1.0:
+    if not 1.0 < span < math.inf:
         raise ValueError(bad)
     model = ppca_closed_form(data, rank)
     v_t = float(model.v[0])
@@ -322,24 +324,10 @@ def minorizer_curves(data: GroupedData, rank: int, n_grid: int = 200, span: floa
     for l in range(data.L):
         c = coefs.group(l)
         obj_t = univariate_objective(c, v_t)
-        for v in grid:
-            rows.append(
-                {
-                    "group": l + 1,
-                    "v": float(v),
-                    "curve": "objective",
-                    "value": univariate_objective(c, float(v)) - obj_t,
-                }
-            )
-            for kind in MINORIZER_KINDS:
-                rows.append(
-                    {
-                        "group": l + 1,
-                        "v": float(v),
-                        "curve": kind,
-                        "value": eval_minorizer(kind, c, float(v), v_t) - obj_t,
-                    }
-                )
+        for v in grid.tolist():
+            curves = [("objective", univariate_objective(c, v))]
+            curves += [(kind, eval_minorizer(kind, c, v, v_t)) for kind in MINORIZER_KINDS]
+            rows += [{"group": l + 1, "v": v, "curve": name, "value": value - obj_t} for name, value in curves]
     return rows
 
 
@@ -403,6 +391,7 @@ def train_test_nrmse(
     sigma2 = _noise_levels((sigma2,), "sigma2")[0]
     trials = _count(trials, "trials", 1)
     rank = _count(rank, "rank", 1, PRESET_D)
+    seed = _whole(seed, "seed")
     _train_counts(PRESET_SIZES, fraction)
     tasks = [(trial, sigma2, seed, rank, fraction) for trial in range(trials)]
     return [row for rows in _map_tasks(_train_test_task, tasks) for row in rows]

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import _blas
+from . import _blas, dataio
 from . import benchmark as bench
 from .dataio import model_record, read_dataset, write_dataset, write_json, write_rows
 from .errors import NumericalError
@@ -130,7 +130,7 @@ def cmd_simulate(args) -> int:
     write_json(
         truth_path,
         {
-            "schema_version": 1,
+            "schema_version": dataio.SCHEMA_VERSION,
             "d": truth.d,
             "k": truth.k,
             "L": truth.L,

@@ -55,16 +55,22 @@ def normalize_column_signs(U: np.ndarray, Vt: np.ndarray | None = None):
     return U, Vt
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int, if it is a whole number; otherwise a ``ValueError`` naming ``name``."""
+    # integers skip the float test, which overflows past 1.8e308
+    if not (isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _count(value, name: str, low: int = 0, high: int | None = None, error: str | None = None) -> int:
     """``value`` as an int, if it is a whole number in ``[low, high)``.
 
     Otherwise a ``ValueError``: one naming ``name`` for a value that is
-    not a whole number, and ``error`` (by default one naming the range)
-    for a whole number out of range.
+    not a whole number (:func:`_whole`), and ``error`` (by default one
+    naming the range) for a whole number out of range.
     """
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    n = int(value)
+    n = _whole(value, name)
     if n < low or (high is not None and n >= high):
         if error is None:
             error = f"{name} must be >= {low}" if high is None else f"{name} must be in [{low}, {high}), got {n}"

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GroupedData, _count
+from .model import GroupedData, _count, _whole
 
 __all__ = ["TruthModel", "rng_stream", "haar_orthonormal", "generate"]
 
@@ -16,13 +16,14 @@ def rng_stream(seed: int, a: int = 0, b: int = 0, c: int = 0) -> np.random.Gener
 
     Distinct key tuples give statistically independent Philox streams, so
     trials and groups are reproducible regardless of execution order.
-    Limits: ``a < 2**16``, ``b < 2**32``, ``c < 2**16``.
+    Keys are whole numbers (``0.5`` is rejected, not truncated); limits:
+    ``0 <= a < 2**16``, ``0 <= b < 2**32``, ``0 <= c < 2**16``.
     """
-    a, b, c = int(a), int(b), int(c)
+    a, b, c = (_whole(x, "stream index") for x in (a, b, c))
     if not (0 <= a < 2**16 and 0 <= b < 2**32 and 0 <= c < 2**16):
         raise ValueError("stream path out of range")
     word = (a << 48) | (b << 16) | c
-    key = np.array([int(seed) % 2**64, word], dtype=np.uint64)
+    key = np.array([_whole(seed, "seed") % 2**64, word], dtype=np.uint64)
     return np.random.default_rng(np.random.Philox(key=key))
 
 

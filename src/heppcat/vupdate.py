@@ -27,7 +27,6 @@ second derivative and every objective value used to rank candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .errors import NumericalError
 from .model import VCoefficients, univariate_objective
 
 __all__ = [
-    "MinorizerCoefficients",
     "update_v_rootfind",
     "update_v_em",
     "update_v_doc",
@@ -79,52 +77,27 @@ def noise_floor(c: VCoefficients) -> float:
     return 1e-12 * max(c.beta_tilde, float(c.beta.max()), 1.0)
 
 
-@dataclass
-class MinorizerCoefficients:
-    """Shared pieces of the solvable surrogates at anchor ``v_t``.
+def _solvable_terms(c: VCoefficients, v_t) -> tuple:
+    """``alpha_tilde, zeta, B_bar, gamma_t, c_bar``: the solvable surrogates'
+    shared pieces at anchor ``v_t``, which is checked finite and positive.
 
-    ``alpha_tilde`` / ``beta_tilde`` aggregate the zero-gamma indices,
-    which both surrogates keep exactly.  On the remaining indices:
-    ``zeta`` is the total linearized log slope, ``B_bar`` the total
-    ``1/v`` mass of the quadratic surrogate, ``curvature`` the constant
-    ``c_j = -2 beta_j / gamma_j^3`` bounding the second derivative of
-    ``-beta_j/(gamma_j + v)`` from below over ``v >= 0``, and ``gamma_t``
-    the constant term of the cubic surrogate's derivative.
+    ``alpha_tilde`` totals ``alpha`` over the zero-gamma indices, which
+    both surrogates keep exactly.  On the remaining indices: ``zeta`` is
+    the total linearized log slope, ``B_bar`` the total ``1/v`` mass of the
+    quadratic surrogate, ``gamma_t`` the constant term of the cubic
+    surrogate's derivative and ``c_bar`` the sum of ``-2 beta_j /
+    gamma_j^3``, each of which bounds the second derivative of ``-beta_j /
+    (gamma_j + v)`` from below over ``v >= 0``.
     """
-
-    v_t: float
-    alpha_tilde: float
-    beta_tilde: float
-    zeta: float
-    B_bar: float
-    gamma_t: float
-    c_bar: float
-    curvature: np.ndarray
-    gamma_nz: np.ndarray = field(repr=False)
-    beta_nz: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_coefficients(cls, c: VCoefficients, v_t: float) -> "MinorizerCoefficients":
-        v_t = _check_positive(v_t, "anchor v_t")
-        nz = ~c.zero_set
-        a_nz, b_nz, g_nz = c.alpha[nz], c.beta[nz], c.gamma[nz]
-        t = g_nz + v_t
-        zeta = float(np.sum(a_nz / t))
-        B_bar = c.beta_tilde + float(np.sum(b_nz * v_t**2 / t**2))
-        curvature = -2.0 * b_nz / g_nz**3
-        gamma_t = -zeta + float(np.sum(b_nz / t**2))
-        return cls(
-            v_t=v_t,
-            alpha_tilde=float(c.alpha[c.zero_set].sum()),
-            beta_tilde=c.beta_tilde,
-            zeta=zeta,
-            B_bar=B_bar,
-            gamma_t=gamma_t,
-            c_bar=float(curvature.sum()),
-            curvature=curvature,
-            gamma_nz=g_nz,
-            beta_nz=b_nz,
-        )
+    v_t = _check_positive(v_t, "anchor v_t")
+    nz = ~c.zero_set
+    b_nz, g_nz = c.beta[nz], c.gamma[nz]
+    t = g_nz + v_t
+    zeta = float(np.sum(c.alpha[nz] / t))
+    B_bar = c.beta_tilde + float(np.sum(b_nz * v_t**2 / t**2))
+    gamma_t = -zeta + float(np.sum(b_nz / t**2))
+    c_bar = float((-2.0 * b_nz / g_nz**3).sum())
+    return float(c.alpha[c.zero_set].sum()), zeta, B_bar, gamma_t, c_bar
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +331,8 @@ def _positive_quadratic_root(zeta: float, alpha: float, rhs: float) -> float:
 def update_v_quadratic(c: VCoefficients, v_t: float) -> float:
     """Quadratic solvable update: the surrogate's stationarity condition
     is a quadratic with exactly one positive root."""
-    m = MinorizerCoefficients.from_coefficients(c, v_t)
-    return _positive_quadratic_root(m.zeta, m.alpha_tilde, m.B_bar)
+    alpha_tilde, zeta, B_bar, _, _ = _solvable_terms(c, v_t)
+    return _positive_quadratic_root(zeta, alpha_tilde, B_bar)
 
 
 def _real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> list:
@@ -410,53 +383,36 @@ def _real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> list:
     return out
 
 
-def _cubic_surrogate_derivative(m: MinorizerCoefficients, v: float) -> float:
-    return (
-        -m.alpha_tilde / v
-        + m.beta_tilde / v**2
-        + m.gamma_t
-        + m.c_bar * (v - m.v_t)
-    )
-
-
 def update_v_cubic(c: VCoefficients, v_t: float) -> float:
     """Cubic solvable update: maximum-curvature quadratic expansion of the
     nonzero-gamma terms makes stationarity a cubic in ``v``.
 
-    All real roots come from the closed form; nonpositive roots and roots
-    where the surrogate derivative does not cross from + to - are
-    discarded, and the survivor with the largest surrogate value wins;
-    a lone survivor is returned without evaluating the surrogate.
+    All real roots come from the closed form, and the positive root with
+    the largest surrogate value wins; a lone positive root is returned
+    without evaluating the surrogate.  Ranking alone suffices: on this
+    branch (``beta_tilde > 0``, ``c_bar < 0``) the surrogate falls to
+    ``-inf`` both at ``0+`` and at ``+inf``, so its maximum is a positive
+    stationary point, which the ranking finds.
     """
-    m = MinorizerCoefficients.from_coefficients(c, v_t)
+    alpha_tilde, zeta, _, gamma_t, c_bar = _solvable_terms(c, v_t)
     if c.beta_tilde == 0.0:
         # the exactly-kept -alpha_tilde ln v term sends the surrogate to
         # +inf at 0, mirroring the objective's zero-residual branch
         return 0.0
-    if m.c_bar == 0.0:
-        return _positive_quadratic_root(m.zeta, m.alpha_tilde, m.beta_tilde)
-    roots = _real_cubic_roots(m.c_bar, m.gamma_t - m.c_bar * v_t, -m.alpha_tilde, m.beta_tilde)
-    candidates = []
-    for r in roots:
-        if r <= 0.0:
-            continue
-        h = 1e-6 * r
-        scale = abs(m.alpha_tilde / r) + abs(m.beta_tilde / r**2) + abs(m.gamma_t) + abs(m.c_bar) * (r + v_t)
-        tol = 1e-9 * max(scale, 1e-300)
-        left = _cubic_surrogate_derivative(m, r - h)
-        right = _cubic_surrogate_derivative(m, r + h)
-        if left >= -tol and right <= tol:
-            candidates.append(r)
-    if not candidates:
+    if c_bar == 0.0:
+        return _positive_quadratic_root(zeta, alpha_tilde, c.beta_tilde)
+    roots = _real_cubic_roots(c_bar, gamma_t - c_bar * v_t, -alpha_tilde, c.beta_tilde)
+    roots = [r for r in roots if r > 0.0]
+    if not roots:
         raise NumericalError(
-            "cubic surrogate has no admissible positive stationary point "
-            f"(coefficients: c_bar={m.c_bar!r}, gamma_t={m.gamma_t!r}, "
-            f"alpha_tilde={m.alpha_tilde!r}, beta_tilde={m.beta_tilde!r}, v_t={v_t!r})"
+            "cubic surrogate has no positive stationary point "
+            f"(coefficients: c_bar={c_bar!r}, gamma_t={gamma_t!r}, "
+            f"alpha_tilde={alpha_tilde!r}, beta_tilde={c.beta_tilde!r}, v_t={v_t!r})"
         )
-    if len(candidates) == 1:
-        return float(candidates[0])
-    values = [eval_minorizer("cubic", c, r, v_t) for r in candidates]
-    return float(candidates[int(np.argmax(values))])
+    if len(roots) == 1:
+        return float(roots[0])
+    values = [eval_minorizer("cubic", c, r, v_t) for r in roots]
+    return float(roots[int(np.argmax(values))])
 
 
 _UPDATES = {
@@ -501,14 +457,15 @@ def _raw_minorizer(kind: str, c: VCoefficients, v_t: float):
         return lambda x: float(-np.sum(c.alpha * x / anchor) - np.sum(c.beta / (c.gamma + x)))
     if kind not in ("quad", "cubic"):
         raise ValueError(f"unknown minorizer kind: {kind!r}")
-    m = MinorizerCoefficients.from_coefficients(c, v_t)
+    alpha_tilde, zeta, B_bar, _, c_bar = _solvable_terms(c, v_t)
     if kind == "quad":
-        return lambda x: -m.alpha_tilde * math.log(x) - m.B_bar / x - m.zeta * x
-    anchor_sq = (m.gamma_nz + v_t) ** 2
+        return lambda x: -alpha_tilde * math.log(x) - B_bar / x - zeta * x
+    nz = ~c.zero_set
+    beta_nz, anchor_sq = c.beta[nz], (c.gamma[nz] + v_t) ** 2
 
     def cubic(x: float) -> float:
-        lin = float(np.sum(m.beta_nz * x / anchor_sq))
-        quad = 0.5 * m.c_bar * (x - v_t) ** 2
-        return -m.alpha_tilde * math.log(x) - m.beta_tilde / x - m.zeta * x + lin + quad
+        lin = float(np.sum(beta_nz * x / anchor_sq))
+        quad = 0.5 * c_bar * (x - v_t) ** 2
+        return -alpha_tilde * math.log(x) - c.beta_tilde / x - zeta * x + lin + quad
 
     return cubic

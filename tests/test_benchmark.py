@@ -126,6 +126,9 @@ def test_benchmark_validation():
         (run_landscape, dict(max_iters=1.5), "max_iters must be a whole number"),
         (train_test_nrmse, dict(trials=1.5), "trials must be a whole number"),
         (run_benchmark, dict(preset="fig3", trials=1.5), "trials must be a whole number"),
+        (run_benchmark, dict(preset="fig5", trials=1, seed=0.5), "seed must be a whole number"),
+        (run_landscape, dict(n_random=0, seed=1.5), "seed must be a whole number"),
+        (train_test_nrmse, dict(trials=1, seed=-0.5), "seed must be a whole number"),
     ],
 )
 def test_experiment_inputs_rejected_at_entry(fn, kwargs, match, monkeypatch):

@@ -503,6 +503,34 @@ def test_minorizers_cli(tmp_path):
         assert max(obj.values()) <= best + 1e-9
 
 
+@pytest.mark.parametrize("span", ["nan", "inf", "1"])
+def test_minorizers_span_rejected_before_the_fit(span, tmp_path, capsys, monkeypatch):
+    sim = simulate_small(tmp_path)
+    monkeypatch.setattr("heppcat.benchmark.ppca_closed_form", None)
+    assert run(["minorizers", "--data", sim / "data.csv", "--rank", 2, "--span", span,
+                "--out", tmp_path / "curves.csv"]) == 2
+    assert "error: need n_grid >= 2 and span > 1" in capsys.readouterr().err
+
+
+def test_negative_seed_is_legal(tmp_path):
+    out = simulate_small(tmp_path, seed=-1)
+    assert read_json(out / "truth.json")["seed"] == -1
+    assert run(["train-test", "--trials", 1, "--seed", -1, "--out", tmp_path / "nrmse.csv"]) == 0
+    # so is a seed past float range, which argparse's int accepts
+    out = tmp_path / "huge"
+    assert run(["simulate", "--d", 20, "--k", 2, "--lambdas", "4,1", "--seed", 10**400, "--out", out]) == 0
+    assert read_json(out / "truth.json")["seed"] == 10**400
+
+
+def test_both_json_documents_take_the_schema_version_from_dataio(tmp_path, monkeypatch):
+    monkeypatch.setattr("heppcat.dataio.SCHEMA_VERSION", 99)
+    sim = simulate_small(tmp_path)
+    model_path = tmp_path / "model.json"
+    run(["fit", "--data", sim / "data.csv", "--rank", 2, "--max-iters", 2, "--out", model_path])
+    assert read_json(sim / "truth.json")["schema_version"] == 99
+    assert read_json(model_path)["schema_version"] == 99
+
+
 def test_cli_help_lists_subcommands(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--help"])

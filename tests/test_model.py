@@ -117,6 +117,14 @@ def test_counts_must_be_whole_numbers(call, name):
         call()
 
 
+@pytest.mark.parametrize("span", [1.0, float("nan"), float("inf")])
+def test_minorizer_span_must_be_finite_and_above_one(span, monkeypatch):
+    # rejected before the spectral start is fitted
+    monkeypatch.setattr("heppcat.benchmark.ppca_closed_form", None)
+    with pytest.raises(ValueError, match="need n_grid >= 2 and span > 1"):
+        minorizer_curves(_DATA, 1, span=span)
+
+
 @pytest.mark.parametrize("three", [3, np.int64(3), 3.0], ids=["int", "int64", "float"])
 def test_whole_number_counts_accepted(three, monkeypatch):
     monkeypatch.setenv("HEPPCAT_THREADS", "1")

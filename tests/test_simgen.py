@@ -40,6 +40,22 @@ def test_rng_stream_key_validation():
             rng_stream(1, *bad)
 
 
+def test_rng_stream_rejects_non_whole_keys():
+    # a truncated 0.5 would alias seed 0, and 1.7 stream index 1
+    for args in ((0.5,), (-1.5,), (0, 1.7), (0, 0, 2.5), (0, 0, 0, 0.5), ("3",)):
+        with pytest.raises(ValueError, match="must be a whole number"):
+            rng_stream(*args)
+
+
+@pytest.mark.parametrize("three", [3, np.int64(3), 3.0], ids=["int", "int64", "float"])
+def test_rng_stream_whole_keys_draw_the_philox_stream(three):
+    # 10**400 overflows a float: an integer seed must not pass through one
+    for seed, a, b, c in ((three, 0, 0, 0), (5, three, three, three), (-three, 1, 2, three), (10**400, three, 0, 0)):
+        key = np.array([int(seed) % 2**64, (int(a) << 48) | (int(b) << 16) | int(c)], dtype=np.uint64)
+        want = np.random.default_rng(np.random.Philox(key=key)).random(3)
+        np.testing.assert_array_equal(rng_stream(seed, a, b, c).random(3), want)
+
+
 def test_rng_stream_distinct_words():
     # nearby keys must not collide
     x = rng_stream(5, 0, 1, 0).standard_normal(4)

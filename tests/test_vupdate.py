@@ -10,7 +10,6 @@ from heppcat import (
     V_METHODS,
     FitConfig,
     GroupedData,
-    MinorizerCoefficients,
     NumericalError,
     VCoefficients,
     eval_minorizer,
@@ -32,7 +31,6 @@ from heppcat.vupdate import (
     _ISOLATION_DEPTH_CAP,
     _ISOLATION_WIDTH_RTOL,
     _bisect_root,
-    _cubic_surrogate_derivative,
     _derivative,
     _derivative_range,
     _em_rho,
@@ -41,6 +39,7 @@ from heppcat.vupdate import (
     _newton_polish,
     _positive_quadratic_root,
     _real_cubic_roots,
+    _solvable_terms,
     _stationary_points,
 )
 from conftest import derivative_on_grid, grid_argmax, objective_on_grid, random_coefficients
@@ -123,12 +122,11 @@ def test_minorizer_coefficient_invariants(rng):
     for _ in range(200):
         c = random_coefficients(rng)
         v_t = float(rng.uniform(0.05, 5.0))
-        m = MinorizerCoefficients.from_coefficients(c, v_t)
-        assert m.alpha_tilde >= 1.0  # contains alpha_0 = d - k >= 1
-        assert m.zeta >= 0.0
-        assert m.B_bar >= c.beta_tilde - 1e-15
-        assert np.all(m.curvature <= 0)
-        assert m.c_bar <= 0.0
+        alpha_tilde, zeta, B_bar, _, c_bar = _solvable_terms(c, v_t)
+        assert alpha_tilde >= 1.0  # contains alpha_0 = d - k >= 1
+        assert zeta >= 0.0
+        assert B_bar >= c.beta_tilde - 1e-15
+        assert c_bar <= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +402,17 @@ def _reference_doc(c, v_t):
     return 0.5 * (a + b)
 
 
+def _reference_solvable_terms(c, v_t):
+    # alpha_tilde, zeta, B_bar, gamma_t, c_bar at anchor v_t
+    nz = ~c.zero_set
+    t = c.gamma[nz] + v_t
+    zeta = float(np.sum(c.alpha[nz] / t))
+    B_bar = c.beta_tilde + float(np.sum(c.beta[nz] * v_t**2 / t**2))
+    gamma_t = -zeta + float(np.sum(c.beta[nz] / t**2))
+    c_bar = float(np.sum(-2.0 * c.beta[nz] / c.gamma[nz] ** 3))
+    return float(np.sum(c.alpha[c.zero_set])), zeta, B_bar, gamma_t, c_bar
+
+
 def _reference_eval_minorizer(kind, c, v, v_t):
     def raw(x):
         if kind == "em":
@@ -411,31 +420,42 @@ def _reference_eval_minorizer(kind, c, v, v_t):
         if kind == "doc":
             t = c.gamma + x
             return float(-np.sum(c.alpha * x / (c.gamma + v_t)) - np.sum(c.beta / t))
-        m = MinorizerCoefficients.from_coefficients(c, v_t)
+        alpha_tilde, zeta, B_bar, _, c_bar = _reference_solvable_terms(c, v_t)
         if kind == "quad":
-            return -m.alpha_tilde * math.log(x) - m.B_bar / x - m.zeta * x
-        lin = float(np.sum(m.beta_nz * x / (m.gamma_nz + v_t) ** 2))
-        quad = 0.5 * float(np.sum(m.curvature)) * (x - v_t) ** 2
-        return -m.alpha_tilde * math.log(x) - m.beta_tilde / x - m.zeta * x + lin + quad
+            return -alpha_tilde * math.log(x) - B_bar / x - zeta * x
+        nz = ~c.zero_set
+        lin = float(np.sum(c.beta[nz] * x / (c.gamma[nz] + v_t) ** 2))
+        quad = 0.5 * c_bar * (x - v_t) ** 2
+        return -alpha_tilde * math.log(x) - c.beta_tilde / x - zeta * x + lin + quad
 
     return univariate_objective(c, v_t) + (raw(v) - raw(v_t))
 
 
+def _cubic_crosses_down(c, r, v_t):
+    # the cubic surrogate's derivative goes from + to - across r, up to rounding
+    alpha_tilde, _, _, gamma_t, c_bar = _reference_solvable_terms(c, v_t)
+    deriv = lambda v: -alpha_tilde / v + c.beta_tilde / v**2 + gamma_t + c_bar * (v - v_t)
+    h = 1e-6 * r
+    scale = abs(alpha_tilde / r) + abs(c.beta_tilde / r**2) + abs(gamma_t) + abs(c_bar) * (r + v_t)
+    tol = 1e-9 * max(scale, 1e-300)
+    return deriv(r - h) >= -tol and deriv(r + h) <= tol
+
+
+def _positive_cubic_roots(c, v_t):
+    alpha_tilde, _, _, gamma_t, c_bar = _reference_solvable_terms(c, v_t)
+    roots = _real_cubic_roots(c_bar, gamma_t - c_bar * v_t, -alpha_tilde, c.beta_tilde)
+    return [r for r in roots if r > 0.0]
+
+
 def _reference_cubic(c, v_t):
-    m = MinorizerCoefficients.from_coefficients(c, v_t)
+    # the filtered algorithm: only roots where the surrogate derivative
+    # crosses from + to - compete
+    alpha_tilde, zeta, _, _, c_bar = _reference_solvable_terms(c, v_t)
     if c.beta_tilde == 0.0:
         return 0.0
-    if m.c_bar == 0.0:
-        return _positive_quadratic_root(m.zeta, m.alpha_tilde, m.beta_tilde)
-    candidates = []
-    for r in _real_cubic_roots(m.c_bar, m.gamma_t - m.c_bar * v_t, -m.alpha_tilde, m.beta_tilde):
-        if r <= 0.0:
-            continue
-        h = 1e-6 * r
-        scale = abs(m.alpha_tilde / r) + abs(m.beta_tilde / r**2) + abs(m.gamma_t) + abs(m.c_bar) * (r + v_t)
-        tol = 1e-9 * max(scale, 1e-300)
-        if _cubic_surrogate_derivative(m, r - h) >= -tol and _cubic_surrogate_derivative(m, r + h) <= tol:
-            candidates.append(r)
+    if c_bar == 0.0:
+        return _positive_quadratic_root(zeta, alpha_tilde, c.beta_tilde)
+    candidates = [r for r in _positive_cubic_roots(c, v_t) if _cubic_crosses_down(c, r, v_t)]
     if not candidates:
         raise NumericalError("no admissible root")
     values = [_reference_eval_minorizer("cubic", c, r, v_t) for r in candidates]
@@ -443,8 +463,8 @@ def _reference_cubic(c, v_t):
 
 
 def _reference_quad(c, v_t):
-    m = MinorizerCoefficients.from_coefficients(c, v_t)
-    return _positive_quadratic_root(m.zeta, m.alpha_tilde, m.B_bar)
+    alpha_tilde, zeta, B_bar, _, _ = _reference_solvable_terms(c, v_t)
+    return _positive_quadratic_root(zeta, alpha_tilde, B_bar)
 
 
 _REFERENCE_UPDATES = {
@@ -529,6 +549,26 @@ def test_updates_and_minorizers_match_numpy_reference_exactly():
         for kind in MINORIZER_KINDS:
             assert eval_minorizer(kind, c, v, v_t) == _reference_eval_minorizer(kind, c, v, v_t)
             assert eval_minorizer(kind, c, v_t, v_t) == univariate_objective(c, v_t)
+
+
+def test_cubic_update_ranks_its_positive_roots():
+    # sets whose cubic has several positive roots: the update returns the
+    # one with the largest surrogate value, where the surrogate's
+    # derivative crosses from + to -
+    rng = np.random.default_rng(7)
+    multi = 0
+    for c, v_t, _ in _criterion4_sets(rng, range(1, 7), 8000):
+        if c.beta_tilde == 0.0 or _reference_solvable_terms(c, v_t)[4] == 0.0:
+            continue
+        roots = _positive_cubic_roots(c, v_t)
+        if len(roots) < 2:
+            continue
+        multi += 1
+        v_new = update_v_cubic(c, v_t)
+        values = [eval_minorizer("cubic", c, r, v_t) for r in roots]
+        assert v_new == roots[int(np.argmax(values))]
+        assert _cubic_crosses_down(c, v_new, v_t)
+    assert multi >= 20
 
 
 def test_updates_match_numpy_reference_within_bisection_width_for_large_k():
