@@ -59,5 +59,5 @@ def weighted_pca(data: GroupedData, weights, k: int) -> np.ndarray:
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
         raise ValueError("weights must be finite and positive")
     k = _count(k, "k", 1, data.d + 1, "need 1 <= k <= d")
-    w, Q = np.linalg.eigh((data.Y * weights[data.groups]) @ data.Y.T)
+    w, Q = np.linalg.eigh((data.Y * np.repeat(weights, data.widths)) @ data.Y.T)
     return normalize_column_signs(Q[:, ::-1][:, :k])

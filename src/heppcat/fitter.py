@@ -7,11 +7,15 @@ whichever single-block update gains more likelihood
 traces are nondecreasing up to rounding.
 
 An iteration computes one SVD, of the updated factors.  Under
-``alternate`` it computes two ``U'Y`` projections: the factor update
-projects onto the incoming basis and the coefficient pass onto the
-updated one, a product the next factor update repeats.  The noise
-update keeps ``U`` and ``lam``, so its model keeps the SVD and the
-iteration's likelihood comes from the same coefficients.
+``alternate`` it computes one ``U'Y`` projection, onto the updated
+basis: the coefficient pass sums it into every group's noise-objective
+coefficients, and the next factor update reuses it.  The noise update
+keeps ``U`` and ``lam``, so its model keeps the SVD and the iteration's
+likelihood comes from the same coefficients.  The initial likelihood
+projects onto the starting basis, and the first factor update reuses
+that product.  Under ``max_improvement`` both candidates reuse the
+incoming projection, and the factor candidate's likelihood projects
+onto its own basis.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ import numpy as np
 
 from . import baselines
 from .errors import DegenerateDataError, NumericalError
-from .fupdate import em_update_F
-from .model import FactorModel, GroupedData, _count, coefficient_loglik, group_coefficients, log_likelihood_parts
-from .model import v_coefficients  # noqa: F401  (perfbench's tracer wraps it here)
+from .fupdate import _em_update_F
+from .fupdate import em_update_F  # noqa: F401  (perfbench's tracer wraps it here)
+from .model import FactorModel, GroupedData, _count, _projected_coefficients, coefficient_loglik
+from .model import log_likelihood_parts, v_coefficients  # noqa: F401  (perfbench's tracer wraps them here)
 from .vupdate import V_METHODS, update_v
 
 __all__ = ["FitConfig", "FitTrace", "FitResult", "init_random", "fit"]
@@ -154,9 +159,15 @@ def _initial_model(data: GroupedData, cfg: FitConfig) -> FactorModel:
     return cfg.init
 
 
-def _v_pass(data: GroupedData, model: FactorModel, method: str):
-    """Update every variance; returns the new model and its coefficients."""
-    coefs = group_coefficients(data, model)
+def _loglik(data: GroupedData, model: FactorModel, G: np.ndarray) -> float:
+    """The model's log-likelihood, given ``G = U'Y`` on its basis."""
+    return coefficient_loglik(_projected_coefficients(data, model, G), data.counts, model.v)
+
+
+def _v_pass(data: GroupedData, model: FactorModel, G: np.ndarray, method: str):
+    """Update every variance, given ``G = U'Y`` on the model's basis;
+    returns the new model and its coefficients."""
+    coefs = _projected_coefficients(data, model, G)
     v_new = np.array([update_v(method, coefs.group(l), v) for l, v in enumerate(model.v)])
     return model._with_v(v_new), coefs
 
@@ -191,7 +202,8 @@ def fit(data: GroupedData, cfg: FitConfig) -> FitResult:
     if not 1 <= cfg.rank < data.d:
         raise ValueError("need 1 <= rank < d")
     model = _initial_model(data, cfg)
-    loglik = [log_likelihood_parts(data, model)]
+    G = model.U.T @ data.Y
+    loglik = [_loglik(data, model, G)]
     v_hist = [model.v.copy()] if cfg.record_trace else None
     f_change: list = []
     seconds: list = []
@@ -211,16 +223,19 @@ def fit(data: GroupedData, cfg: FitConfig) -> FitResult:
         try:
             if cfg.block_rule == "alternate":
                 F_prev = model.F
-                model, coefs = _v_pass(data, em_update_F(data, model), cfg.v_method)
+                model = _em_update_F(data, model, G)
+                G = model.U.T @ data.Y
+                model, coefs = _v_pass(data, model, G, cfg.v_method)
                 rel = _relative_change(model.F, F_prev)
                 ll = coefficient_loglik(coefs, data.counts, model.v)
             else:
-                cand_f = em_update_F(data, model)
-                cand_v, coefs = _v_pass(data, model, cfg.v_method)
-                ll_f = log_likelihood_parts(data, cand_f)
+                cand_f = _em_update_F(data, model, G)
+                cand_v, coefs = _v_pass(data, model, G, cfg.v_method)
+                G_f = cand_f.U.T @ data.Y
+                ll_f = _loglik(data, cand_f, G_f)
                 ll_v = coefficient_loglik(coefs, data.counts, cand_v.v)
                 rel = _relative_change(cand_f.F, model.F)
-                model, ll = (cand_f, ll_f) if ll_f >= ll_v else (cand_v, ll_v)
+                model, ll, G = (cand_f, ll_f, G_f) if ll_f >= ll_v else (cand_v, ll_v, G)
         except NumericalError as err:
             raise NumericalError(f"iteration {iterations + 1}: {err}") from err
         seconds.append(time.perf_counter() - t0)

@@ -36,10 +36,16 @@ def em_update_F(data: GroupedData, model: FactorModel) -> FactorModel:
         raise ValueError("data and model shapes differ")
     if np.any(model.v <= 0):
         raise ValueError("factor update requires strictly positive variances")
-    U, lam, Vt = model.U, model.lam, model.Vt
+    return _em_update_F(data, model, model.U.T @ data.Y)
+
+
+def _em_update_F(data: GroupedData, model: FactorModel, G: np.ndarray) -> FactorModel:
+    """:func:`em_update_F` given ``G = U'Y``, the data projected onto the
+    model's basis, without the argument checks."""
+    lam, Vt = model.lam, model.Vt
     D = 1.0 / (lam + model.v[:, None])
-    Z = (D * np.sqrt(lam))[data.groups].T * (U.T @ data.Y)
-    Zw = Z / model.v[data.groups]
+    Z = np.repeat(D * np.sqrt(lam), data.widths, axis=0).T * G
+    Zw = Z / np.repeat(model.v, data.widths)
     A = data.Y @ Zw.T
     N = Zw @ Z.T + np.diag(data.counts @ D)
     N = 0.5 * (N + N.T)

@@ -94,16 +94,17 @@ class GroupedData:
 
     The blocks are stacked once into a ``d x M`` matrix ``Y`` and
     ``blocks`` become views of it.  ``starts[l]`` is group ``l``'s first
-    column, ``groups[j]`` column ``j``'s group, ``counts`` the sample
+    column and ``widths[l]`` its column count, ``counts`` the sample
     counts as floats and ``energies`` each group's ``||Y_l||_F^2``, so a
-    pass over the data is a whole-matrix product plus segment sums.
+    pass over the data is a whole-matrix product plus segment sums, and
+    ``np.repeat(x, widths)`` spreads per-group values over the columns.
     """
 
     blocks: list
     group_sizes: tuple = None
     Y: np.ndarray = field(init=False, repr=False, compare=False)
     starts: np.ndarray = field(init=False, repr=False, compare=False)
-    groups: np.ndarray = field(init=False, repr=False, compare=False)
+    widths: np.ndarray = field(init=False, repr=False, compare=False)
     counts: np.ndarray = field(init=False, repr=False, compare=False)
     energies: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -121,10 +122,11 @@ class GroupedData:
         # a C-ordered Y whatever the blocks' layout, so results do not depend on it
         self.Y = np.concatenate(blocks, axis=1, out=np.empty((d, sum(widths))))
         self.starts = np.cumsum([0] + widths[:-1])
-        self.groups = np.repeat(np.arange(len(widths)), widths)
+        self.widths = np.array(widths)
         finite = np.isfinite(self.Y).all(axis=0)
         if not finite.all():
-            raise ValueError(f"group {self.groups[finite.argmin()] + 1}: non-finite entries")
+            group = np.searchsorted(self.starts, finite.argmin(), side="right")
+            raise ValueError(f"group {group}: non-finite entries")
         sizes = widths if self.group_sizes is None else self.group_sizes
         self.group_sizes = tuple(_count(n, f"group {i}: sample count", 1) for i, n in enumerate(sizes, 1))
         if len(self.group_sizes) != len(widths):
@@ -295,7 +297,12 @@ def group_coefficients(data: GroupedData, model: FactorModel) -> VCoefficients:
     subtracts them from ``||Y_l||_F^2``, clamped at zero (no d x d
     projector).  Dividing by ``group_sizes`` keeps compressed groups exact.
     """
-    G = model.U.T @ data.Y
+    return _projected_coefficients(data, model, model.U.T @ data.Y)
+
+
+def _projected_coefficients(data: GroupedData, model: FactorModel, G: np.ndarray) -> VCoefficients:
+    """:func:`group_coefficients` given ``G = U'Y``, the data projected onto
+    the model's basis."""
     e_dir = np.add.reduceat(G * G, data.starts, axis=1)
     e_res = np.maximum(data.energies - e_dir.sum(axis=0), 0.0)
     # one C-contiguous row per group, so row sums round as a group's own

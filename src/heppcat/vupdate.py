@@ -6,22 +6,26 @@ objective described by :class:`heppcat.model.VCoefficients`,
     ``L(v) = -sum_j [ alpha_j ln(gamma_j + v) + beta_j / (gamma_j + v) ]``.
 
 ``update_v_rootfind`` maximizes ``L`` exactly by isolating every
-stationary point.  The other four rules maximize a surrogate anchored at
-the current iterate ``v_t`` (expectation-maximization, difference-of-
-concave linearization, quadratic solvable, cubic solvable); each
-surrogate lies below ``L`` and touches it at ``v_t``, so every update is
-guaranteed not to decrease the likelihood.
+stationary point: interval Newton with a monotonicity test on the second
+derivative, and safeguarded Newton inside each bracket where the
+derivative is monotone.  The other four rules maximize a surrogate
+anchored at the current iterate ``v_t`` (expectation-maximization,
+difference-of-concave linearization, quadratic solvable, cubic
+solvable); each surrogate lies below ``L`` and touches it at ``v_t``, so
+every update is guaranteed not to decrease the likelihood.
 
 The scalar loops run on Python floats built once per call: the root
-finder's derivative and its enclosure, and the difference-of-concave
-bisection's surrogate slope.  A numpy reduction over the ``k + 1``
-coefficients costs far more in dispatch than in arithmetic.  The float
-sums are bit-identical to the numpy expressions they replace: they use
-only ``+``, ``-``, ``*`` and ``/``, which both round correctly, and numpy
-sums fewer than 8 entries in order, as the loops do (for ``k >= 7`` the
-two may differ in the last digit).  Whatever numpy rounds differently
-from Python, ``log`` and ``t**3``, stays on numpy: the Newton polish's
-second derivative and every objective value used to rank candidates.
+finder's first and second derivatives and their enclosures, and the
+difference-of-concave bisection's surrogate slope.  A numpy reduction
+over the ``k + 1`` coefficients costs far more in dispatch than in
+arithmetic.  The float sums are bit-identical to the numpy expressions
+they replace: they use only ``+``, ``-``, ``*`` and ``/``, which both
+round correctly, and numpy sums fewer than 8 entries in order, as the
+loops do (for ``k >= 7`` the two may differ in the last digit).  Cubes
+are products, ``t * t * t``, because numpy's ``t**3`` may round
+differently.  ``log``, which numpy and Python may also round
+differently, stays on numpy: every objective value used to rank
+candidates.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ MINORIZER_KINDS = ("em", "doc", "quad", "cubic")
 _ISOLATION_WIDTH_RTOL = 1e-10
 _ISOLATION_DEPTH_CAP = 60
 _BISECT_RTOL = 1e-13
+_MONOTONE_STEPS_CAP = 100
+_MONOTONE_ULPS = 4.0
 _DOC_ATOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
@@ -134,27 +140,81 @@ def _derivative_range(terms, a: float, b: float):
     return lo_log + lo_inv, hi_log + hi_inv
 
 
-def _objective_second_derivative(c: VCoefficients, v: float) -> float:
-    t = c.gamma + v
-    return float(np.sum(c.alpha / t**2) - 2.0 * np.sum(c.beta / t**3))
+def _second_derivative(terms, v: float) -> float:
+    """Second derivative of the objective, ``sum alpha_j / t^2 - 2 sum beta_j / t^3``
+    with ``t = gamma_j + v``: two running sums over ``terms``."""
+    s_log = s_inv = 0.0
+    for alpha, beta, gamma in terms:
+        t = gamma + v
+        tt = t * t
+        s_log += alpha / tt
+        s_inv += beta / (tt * t)
+    return s_log - 2.0 * s_inv
 
 
-def _newton_polish(c: VCoefficients, terms, v: float, lo: float, hi: float) -> float:
+def _second_derivative_range(terms, a: float, b: float):
+    """Enclosure of the objective's second derivative over [a, b], 0 < a <= b,
+    in the shape of :func:`_derivative_range`."""
+    lo_log = lo_inv = hi_log = hi_inv = 0.0
+    for alpha, beta, gamma in terms:
+        ta, tb = gamma + a, gamma + b
+        ta2, tb2 = ta * ta, tb * tb
+        lo_log += alpha / tb2
+        lo_inv += beta / (ta2 * ta)
+        hi_log += alpha / ta2
+        hi_inv += beta / (tb2 * tb)
+    return lo_log - 2.0 * lo_inv, hi_log - 2.0 * hi_inv
+
+
+def _newton_polish(terms, v: float, lo: float, hi: float) -> float:
     """Newton steps on the derivative, clamped to [lo, hi].
 
-    Isolation leaves are ~1e-10 wide and adjacent leaves can emit
-    midpoints whose objective ties the true root at double precision;
-    polishing collapses all of them onto the stationary point itself.
+    Isolation leaves are ~1e-10 wide and sit at tangent stationary
+    points, where adjacent leaves emit midpoints whose objective ties
+    the point at double precision; polishing moves them onto it, or
+    toward it where the vanishing second derivative slows Newton.
     """
     for _ in range(4):
         d1 = _derivative(terms, v)
-        d2 = _objective_second_derivative(c, v)
+        d2 = _second_derivative(terms, v)
         if d2 == 0.0 or not math.isfinite(d2):
             break
         v_new = min(max(v - d1 / d2, lo), hi)
         if abs(v_new - v) <= 1e-16 * abs(v):
             return v_new
         v = v_new
+    return v
+
+
+def _monotone_root(terms, a: float, b: float, fa: float, fb: float) -> float:
+    """The one zero of the derivative in [a, b], where the derivative is
+    strictly monotone and its end values ``fa``, ``fb`` change sign (or
+    one of them is 0).
+
+    Safeguarded Newton from the midpoint: every evaluation shrinks the
+    bracket to the side that keeps the sign change, and a Newton step
+    that leaves it is replaced by bisection.  Stops once a Newton step
+    is at most a few ulp.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    a_positive = fa > 0
+    v = 0.5 * (a + b)
+    for _ in range(_MONOTONE_STEPS_CAP):
+        d1 = _derivative(terms, v)
+        if d1 == 0.0:
+            return v
+        if (d1 > 0) == a_positive:
+            a = v
+        else:
+            b = v
+        d2 = _second_derivative(terms, v)
+        step = d1 / d2 if d2 != 0.0 else math.inf
+        if abs(step) <= _MONOTONE_ULPS * _EPS * v:
+            return min(max(v - step, a), b)
+        v = v - step if a < v - step < b else 0.5 * (a + b)
     return v
 
 
@@ -182,21 +242,27 @@ def _bisect_root(
     return 0.5 * (a + b)
 
 
-def _stationary_points(c: VCoefficients, terms, lo: float, hi: float) -> list:
+def _stationary_points(terms, lo: float, hi: float) -> list:
     """All stationary points of the objective inside [lo, hi], distinct and sorted.
 
-    Recursive interval splitting: a subinterval is discarded when an
-    enclosure of the derivative excludes zero, split otherwise, and
-    resolved by bisection once narrower than ~1e-10 relative.  Tangent
-    (double) stationary points yield a midpoint candidate, which is
-    harmless because callers rank candidates by objective value.
-    Adjacent leaves often polish onto the same root; the copies are
-    dropped.  A tangent leaf is kept even when a neighbour holds a
-    root: its polished midpoint is often the best candidate.
-    The ~200 enclosures and the bisection's derivatives are float sums
-    over ``terms`` (:func:`_float_terms`), bit-identical to the numpy
-    expressions for ``k <= 6`` (see the module docstring); the Newton
-    polish keeps its second derivative, which cubes, on numpy.
+    Interval Newton with a monotonicity test (Hansen & Walster, *Global
+    Optimization Using Interval Analysis*, 2004).  A subinterval is
+    discarded when an enclosure of the derivative excludes zero.  When
+    it holds zero but an enclosure of the second derivative does not,
+    the derivative is monotone there: a sign change at the ends means
+    exactly one root, found by :func:`_monotone_root`, and none means no
+    root.  Otherwise the subinterval is split, and once narrower than
+    ~1e-10 relative it is resolved by bisection and a Newton polish.
+    Only tangent (double) stationary points, where the second
+    derivative vanishes, reach that leaf; they yield a midpoint
+    candidate, which is harmless because callers rank candidates by
+    objective value.  Adjacent leaves often polish onto the same root;
+    the copies are dropped.  A tangent leaf is kept even when a
+    neighbour holds a root: its polished midpoint is often the best
+    candidate.  A call builds a few enclosures of each kind; they, the
+    Newton steps and the bisection are float sums over ``terms``
+    (:func:`_float_terms`), bit-identical to the numpy expressions for
+    ``k <= 6`` (see the module docstring).
     """
     width_tol = _ISOLATION_WIDTH_RTOL * (1.0 + hi)
     deriv = lambda v: _derivative(terms, v)
@@ -209,13 +275,19 @@ def _stationary_points(c: VCoefficients, terms, lo: float, hi: float) -> list:
         r_lo, r_hi = _derivative_range(terms, a, b)
         if r_lo > 0.0 or r_hi < 0.0:
             continue
+        s_lo, s_hi = _second_derivative_range(terms, a, b)
+        if s_lo > 0.0 or s_hi < 0.0:
+            fa, fb = deriv(a), deriv(b)
+            if fa == 0.0 or fb == 0.0 or (fa > 0) != (fb > 0):
+                roots.append(_monotone_root(terms, a, b, fa, fb))
+            continue
         if (b - a) < width_tol:
             fa, fb = deriv(a), deriv(b)
             if fa == 0.0 or fb == 0.0 or (fa > 0) != (fb > 0):
                 r = _bisect_root(deriv, a, b, fa, fb)
             else:
                 r = 0.5 * (a + b)
-            roots.append(_newton_polish(c, terms, r, lo, hi))
+            roots.append(_newton_polish(terms, r, lo, hi))
             continue
         m = 0.5 * (a + b)
         stack.append((m, b, depth + 1))
@@ -242,7 +314,7 @@ def update_v_rootfind(c: VCoefficients) -> float:
     terms = _float_terms(c)
     candidates: list = []
     if v_max > lo:
-        candidates.extend(_stationary_points(c, terms, lo, v_max))
+        candidates.extend(_stationary_points(terms, lo, v_max))
     else:
         # all per-term ratios coincide: the unique stationary point is v_max
         candidates.append(v_max)

@@ -114,6 +114,27 @@ def test_one_svd_per_iteration(monkeypatch, rule):
 
 
 @pytest.mark.parametrize("rule", ["alternate", "max_improvement"])
+def test_one_projection_per_iteration(rule):
+    # k x M products U'Y: the initial likelihood's, which the first
+    # factor update reuses, and one per iteration on the updated basis,
+    # which the next factor update reuses (under max_improvement, the
+    # factor candidate's; both candidates reuse the incoming one)
+    shapes = []
+
+    class CountingY(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and inputs[1] is self:
+                shapes.append(inputs[0].shape)
+            inputs = tuple(x.view(np.ndarray) if isinstance(x, CountingY) else x for x in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    data, _ = two_group_data()
+    data.Y = data.Y.view(CountingY)
+    fit(data, FitConfig(rank=2, max_iters=5, tol=0.0, block_rule=rule))
+    assert shapes == [(2, data.d)] * (1 + 5)
+
+
+@pytest.mark.parametrize("rule", ["alternate", "max_improvement"])
 @pytest.mark.parametrize("compress", [False, True])
 def test_trace_loglik_is_the_models_likelihood(rule, compress):
     data, _ = two_group_data(sizes=(60, 8), v=(0.4, 2.5))

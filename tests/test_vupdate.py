@@ -25,11 +25,15 @@ from heppcat import (
     update_v_rootfind,
 )
 from heppcat import fitter
+from heppcat import vupdate
 from heppcat.vupdate import (
     _BISECT_RTOL,
     _DOC_ATOL,
+    _EPS,
     _ISOLATION_DEPTH_CAP,
     _ISOLATION_WIDTH_RTOL,
+    _MONOTONE_STEPS_CAP,
+    _MONOTONE_ULPS,
     _bisect_root,
     _derivative,
     _derivative_range,
@@ -39,6 +43,8 @@ from heppcat.vupdate import (
     _newton_polish,
     _positive_quadratic_root,
     _real_cubic_roots,
+    _second_derivative,
+    _second_derivative_range,
     _solvable_terms,
     _stationary_points,
 )
@@ -246,6 +252,28 @@ def test_derivative_range_matches_numpy_and_brackets_derivative(rng):
             assert np.all(ders >= lo - tol) and np.all(ders <= hi + tol)
 
 
+def test_second_derivative_range_matches_numpy_and_brackets_second_derivative(rng):
+    eps = np.finfo(float).eps
+    for k in range(1, 11):
+        for _ in range(40):
+            c = random_coefficients(rng, k=k)
+            terms = _float_terms(c)
+            a = float(10 ** rng.uniform(-3.0, 1.5))
+            b = a * (1.0 + float(10 ** rng.uniform(-10.0, 1.0)))
+            lo, hi = _second_derivative_range(terms, a, b)
+            ta = c.gamma + a
+            scale = float(np.sum(c.alpha / ta**2) + 2.0 * np.sum(c.beta / ta**3))
+            tol = 16 * (k + 1) * eps * scale
+            ref_lo, ref_hi = _reference_second_derivative_range(c, a, b)
+            if k + 1 < 8:
+                assert (lo, hi) == (ref_lo, ref_hi)
+            else:
+                assert abs(lo - ref_lo) <= tol and abs(hi - ref_hi) <= tol
+            grid = np.linspace(a, b, 64)
+            second = np.array([_second_derivative(terms, v) for v in grid])
+            assert np.all(second >= lo - tol) and np.all(second <= hi + tol)
+
+
 def test_rootfind_handles_multiple_stationary_points():
     # widely separated scales create a local max / local min / local max
     c = VCoefficients(alpha=[1.0, 1.0], beta=[0.01, 8000.0], gamma=[0.0, 1000.0])
@@ -302,21 +330,37 @@ def test_cubic_roots_triple_and_double():
 # exact agreement with the numpy formulation
 #
 # The ``_reference_*`` oracles below are the numpy versions of the
-# routines whose scalar loops now run on Python floats: the derivative,
-# the rootfind isolation with its polish, the difference-of-concave
+# routines whose scalar loops now run on Python floats: the first and
+# second derivatives and their enclosures, the rootfind isolation with
+# its safeguarded Newton and its polish, the difference-of-concave
 # bisection, the cubic ranking and the surrogate evaluation.  For k <= 6
-# the float loops must reproduce them bit for bit.
+# the float loops must reproduce them bit for bit.  Cubes are written as
+# products in both forms; numpy's ``t**3`` may round differently.
 
 
 def _reference_second_derivative(c, v):
     t = c.gamma + v
-    return float(np.sum(c.alpha / t**2) - 2.0 * np.sum(c.beta / t**3))
+    return float(np.sum(c.alpha / (t * t)) - 2.0 * np.sum(c.beta / (t * t * t)))
 
 
-def _reference_newton_polish(c, v, lo, hi):
+def _reference_derivative_range(c, a, b):
+    ta, tb = c.gamma + a, c.gamma + b
+    lo = np.sum(-c.alpha / ta) + np.sum(c.beta / (tb * tb))
+    hi = np.sum(-c.alpha / tb) + np.sum(c.beta / (ta * ta))
+    return float(lo), float(hi)
+
+
+def _reference_second_derivative_range(c, a, b):
+    ta, tb = c.gamma + a, c.gamma + b
+    lo = np.sum(c.alpha / (tb * tb)) - 2.0 * np.sum(c.beta / (ta * ta * ta))
+    hi = np.sum(c.alpha / (ta * ta)) - 2.0 * np.sum(c.beta / (tb * tb * tb))
+    return float(lo), float(hi)
+
+
+def _reference_newton_polish(c, v, lo, hi, second=_reference_second_derivative):
     for _ in range(4):
         d1 = univariate_derivative(c, v)
-        d2 = _reference_second_derivative(c, v)
+        d2 = second(c, v)
         if d2 == 0.0 or not np.isfinite(d2):
             break
         v_new = min(max(v - d1 / d2, lo), hi)
@@ -326,10 +370,78 @@ def _reference_newton_polish(c, v, lo, hi):
     return v
 
 
+def _reference_monotone_root(c, a, b, fa, fb):
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    v = 0.5 * (a + b)
+    for _ in range(_MONOTONE_STEPS_CAP):
+        d1 = univariate_derivative(c, v)
+        if d1 == 0.0:
+            return v
+        if (d1 > 0) == (fa > 0):
+            a = v
+        else:
+            b = v
+        d2 = _reference_second_derivative(c, v)
+        step = d1 / d2 if d2 != 0.0 else math.inf
+        if abs(step) <= _MONOTONE_ULPS * _EPS * v:
+            return min(max(v - step, a), b)
+        v = v - step if a < v - step < b else 0.5 * (a + b)
+    return v
+
+
 def _reference_stationary_points(c, lo, hi):
-    terms = _float_terms(c)
+    # every root, copies included: intervals whose derivative enclosure
+    # holds 0 are solved by safeguarded Newton where the second-derivative
+    # enclosure excludes 0, split otherwise, and resolved as leaves once
+    # narrower than ~1e-10 relative
     width_tol = _ISOLATION_WIDTH_RTOL * (1.0 + hi)
-    deriv = lambda v: univariate_derivative(c, v)
+    roots = []
+    stack = [(lo, hi, 0)]
+    while stack:
+        a, b, depth = stack.pop()
+        if depth > _ISOLATION_DEPTH_CAP:
+            raise NumericalError("depth")
+        r_lo, r_hi = _reference_derivative_range(c, a, b)
+        if r_lo > 0.0 or r_hi < 0.0:
+            continue
+        s_lo, s_hi = _reference_second_derivative_range(c, a, b)
+        if s_lo > 0.0 or s_hi < 0.0:
+            fa, fb = univariate_derivative(c, a), univariate_derivative(c, b)
+            if fa == 0.0 or fb == 0.0 or (fa > 0) != (fb > 0):
+                roots.append(_reference_monotone_root(c, a, b, fa, fb))
+            continue
+        if (b - a) < width_tol:
+            deriv = lambda v: univariate_derivative(c, v)
+            fa, fb = deriv(a), deriv(b)
+            if fa == 0.0 or fb == 0.0 or (fa > 0) != (fb > 0):
+                r = _bisect_root(deriv, a, b, fa, fb)
+            else:
+                r = 0.5 * (a + b)
+            roots.append(_reference_newton_polish(c, r, lo, hi))
+            continue
+        m = 0.5 * (a + b)
+        stack.append((m, b, depth + 1))
+        stack.append((a, m, depth + 1))
+    return sorted(roots)
+
+
+def _splitting_isolation(c, lo, hi):
+    # the isolation rootfind used before the monotonicity test, kept as
+    # an oracle: every interval whose derivative enclosure holds 0 is
+    # split down to ~1e-10 relative, then resolved as a leaf whose polish
+    # takes numpy's cube; the distinct roots, sorted.  Float sums as that
+    # code ran them: bit-identical to numpy for k <= 6
+    terms = _float_terms(c)
+    deriv = lambda v: _derivative(terms, v)
+
+    def second(c, v):
+        t = c.gamma + v
+        return float(np.sum(c.alpha / t**2) - 2.0 * np.sum(c.beta / t**3))
+
+    width_tol = _ISOLATION_WIDTH_RTOL * (1.0 + hi)
     roots = []
     stack = [(lo, hi, 0)]
     while stack:
@@ -345,22 +457,26 @@ def _reference_stationary_points(c, lo, hi):
                 r = _bisect_root(deriv, a, b, fa, fb)
             else:
                 r = 0.5 * (a + b)
-            roots.append(_reference_newton_polish(c, r, lo, hi))
+            roots.append(_reference_newton_polish(c, r, lo, hi, second))
             continue
         m = 0.5 * (a + b)
         stack.append((m, b, depth + 1))
         stack.append((a, m, depth + 1))
-    return sorted(roots)
+    return sorted(set(roots))
 
 
-def _reference_rootfind(c, v_t=None):
-    if c.beta_tilde == 0.0:
-        return 0.0
+def _isolation_bracket(c):
+    # [lo, hi] of update_v_rootfind, which holds every nonnegative stationary point
     active = c.alpha > 0.0
     ratios = c.beta[active] / c.alpha[active] - c.gamma[active]
-    v_max = float(ratios.max())
-    lo = max(noise_floor(c), float(ratios.min()))
-    candidates = _reference_stationary_points(c, lo, v_max) if v_max > lo else [v_max]
+    return max(noise_floor(c), float(ratios.min())), float(ratios.max())
+
+
+def _reference_rootfind(c, v_t=None, points=_reference_stationary_points):
+    if c.beta_tilde == 0.0:
+        return 0.0
+    lo, v_max = _isolation_bracket(c)
+    candidates = points(c, lo, v_max) if v_max > lo else [v_max]
     if univariate_derivative(c, lo) < 0.0:
         candidates.append(lo)
     if not candidates:
@@ -489,30 +605,94 @@ def _criterion4_sets(rng, ks, count):
         yield c, float(10 ** rng.uniform(-2.0, 1.5)), float(10 ** rng.uniform(-3.0, 2.0))
 
 
+def _tangent_coefficients(d, g, r):
+    # k = 1 and gamma = (0, g), with beta solved so that the derivative
+    # and the second derivative both vanish at r: the derivative touches
+    # zero there, a tangent (double) stationary point up to rounding
+    s = g + r
+    x, y = np.linalg.solve([[1.0, 1.0], [1.0 / r, 1.0 / s]], [(d - 1) / r + 1.0 / s, ((d - 1) / r**2 + 1.0 / s**2) / 2])
+    return VCoefficients(alpha=[d - 1.0, 1.0], beta=[x * r * r, y * s * s], gamma=[0.0, g])
+
+
+_TANGENTS = ((2, 100.0, 0.1), (3, 100.0, 0.1), (5, 100.0, 0.1))
+
+
 def test_stationary_points_are_the_distinct_reference_roots():
-    # adjacent isolation leaves polish onto the same root; the copies go,
-    # every distinct root (tangent midpoints included) stays
+    # the monotone brackets yield one root each; adjacent tangent leaves
+    # can polish onto the same root, and the copies go.  Every distinct
+    # root (tangent midpoints included) stays
     rng = np.random.default_rng(6)
+    sets = [c for c, _, _ in _criterion4_sets(rng, range(1, 7), 600)]
     copies = 0
-    for c, _, _ in _criterion4_sets(rng, range(1, 7), 600):
+    for c in sets + [_tangent_coefficients(*args) for args in _TANGENTS]:
         if c.beta_tilde == 0.0:
             continue
-        active = c.alpha > 0.0
-        ratios = c.beta[active] / c.alpha[active] - c.gamma[active]
-        lo = max(noise_floor(c), float(ratios.min()))
-        hi = float(ratios.max())
+        lo, hi = _isolation_bracket(c)
         if hi <= lo:
             continue
-        got = _stationary_points(c, _float_terms(c), lo, hi)
+        got = _stationary_points(_float_terms(c), lo, hi)
         want = _reference_stationary_points(c, lo, hi)
         assert got == sorted(set(want))
         copies += len(want) - len(got)
     assert copies > 0
 
 
+def _near(x, points, rtol):
+    return min(abs(x - p) for p in points) <= rtol * abs(x)
+
+
+def test_stationary_points_match_the_splitting_isolation_oracle():
+    # the monotonicity test changes how a root is found, not which: on
+    # 20,000 sets every stationary point matches a root of the splitting
+    # isolation and back, within 1e-14 relative, and the update loses at
+    # most 1e-14 of objective value (relative beyond magnitude 1)
+    rng = np.random.default_rng(16)
+    for i in range(20_000):
+        c = random_coefficients(rng, k=1 + i % 6, zero_energy_prob=0.0)
+        lo, hi = _isolation_bracket(c)
+        if hi <= lo:
+            continue
+        got = _stationary_points(_float_terms(c), lo, hi)
+        want = _splitting_isolation(c, lo, hi)
+        assert all(_near(r, want, 1e-14) for r in got), (c, got, want)
+        assert all(_near(w, got, 1e-14) for w in want), (c, got, want)
+        new = univariate_objective(c, update_v_rootfind(c))
+        old = univariate_objective(c, _reference_rootfind(c, points=lambda *_: list(want)))
+        assert new >= old - 1e-14 * max(1.0, abs(old)), c
+
+
+def test_tangent_stationary_point_takes_the_leaf_path(monkeypatch):
+    # the second derivative vanishes at a tangent point, so no bracket
+    # around it passes the monotonicity test: it is split down to leaves,
+    # as the splitting isolation does, and the update keeps its value.
+    # The isolation also polishes leaves beside the tangent point that
+    # hold no sign change; the monotone brackets there hold no root
+    leaves = []
+    real = vupdate._newton_polish
+    monkeypatch.setattr(vupdate, "_newton_polish", lambda *args: leaves.append(args) or real(*args))
+    for d, g, r in _TANGENTS:
+        c = _tangent_coefficients(d, g, r)
+        t = c.gamma + r
+        assert abs(univariate_derivative(c, r)) <= 1e-14 * float(np.sum(c.alpha / t))
+        assert abs(_second_derivative(_float_terms(c), r)) <= 1e-14 * float(np.sum(c.alpha / t**2))
+        lo, hi = _isolation_bracket(c)
+        leaves.clear()
+        got = _stationary_points(_float_terms(c), lo, hi)
+        width = _ISOLATION_WIDTH_RTOL * (1.0 + hi)
+        assert leaves and all(abs(v - r) <= 10 * width for _, v, _, _ in leaves)
+        want = _splitting_isolation(c, lo, hi)
+        assert min(abs(p - r) for p in got) <= 10 * width
+        # the polish divides by a second derivative that is all rounding
+        # there, so tangent candidates agree only to about the leaf width
+        assert all(_near(p, want, 1e-9) for p in got)
+        new = univariate_objective(c, update_v_rootfind(c))
+        old = univariate_objective(c, _reference_rootfind(c, points=lambda *_: list(want)))
+        assert new >= old - 1e-14 * max(1.0, abs(old))
+
+
 def test_float_sums_match_numpy(rng):
-    # the rootfind derivative and the doc slope; numpy sums fewer than 8
-    # entries in order, so for k <= 6 the rounding is the same
+    # the rootfind first and second derivatives and the doc slope; numpy
+    # sums fewer than 8 entries in order, so for k <= 6 the rounding is the same
     eps = np.finfo(float).eps
     for k in range(1, 11):
         for _ in range(200):
@@ -520,24 +700,25 @@ def test_float_sums_match_numpy(rng):
             v = float(10 ** rng.uniform(-12.0, 2.0))
             t = c.gamma + v
             pairs = tuple(zip(c.beta.tolist(), c.gamma.tolist()))
-            got = (_derivative(_float_terms(c), v), _inverse_square_sum(pairs, v))
-            want = (univariate_derivative(c, v), float(np.sum(c.beta / t**2)))
+            terms = _float_terms(c)
+            got = (_derivative(terms, v), _inverse_square_sum(pairs, v), _second_derivative(terms, v))
+            want = (univariate_derivative(c, v), float(np.sum(c.beta / t**2)), _reference_second_derivative(c, v))
             if k <= 6:
                 assert got == want
             else:
-                scale = float(np.sum(c.alpha / t + c.beta / t**2))
+                scale = float(np.sum(c.alpha / t + c.beta / t**2 + c.alpha / t**2 + 2.0 * c.beta / t**3))
                 assert all(abs(g - w) <= 16 * (k + 1) * eps * scale for g, w in zip(got, want))
 
 
 def test_newton_polish_matches_numpy_reference_from_any_start(rng):
     # far from a root the four Newton steps do not converge, so every
-    # step's rounding, the numpy cube included, reaches the result
+    # step's rounding, the second derivative's included, reaches the result
     for k in range(1, 7):
         for _ in range(300):
             c = random_coefficients(rng, k=k)
             lo, hi = sorted(float(x) for x in 10 ** rng.uniform(-3.0, 1.5, size=2))
             v0 = float(rng.uniform(lo, hi))
-            assert _newton_polish(c, _float_terms(c), v0, lo, hi) == _reference_newton_polish(c, v0, lo, hi)
+            assert _newton_polish(_float_terms(c), v0, lo, hi) == _reference_newton_polish(c, v0, lo, hi)
 
 
 def test_updates_and_minorizers_match_numpy_reference_exactly():
