@@ -10,6 +10,14 @@ returns results in task order, so rows do not depend on the pool size
 or on the core count.  The environment variable HEPPCAT_THREADS caps
 the pool (0 or unset uses every CPU this process may run on; 1 runs
 serially in-process).
+
+A process keeps one pool for its whole life: the first pooled study
+makes it and later studies reuse its warm workers.  A study replaces it
+when it has fewer workers than the study can use or more than
+HEPPCAT_THREADS allows; a study that raises shuts it down, and the next
+one starts a fresh pool.  Workers are forked when the pool first runs a
+task, so they do not see a function patched into heppcat after that.
+They exit with the process.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -230,16 +239,52 @@ def run_benchmark(preset: str, trials: int = 20, sigma_grid=None, methods=None, 
     return rows
 
 
+# this process's worker pool as (pid, size, executor), or None; the pid
+# keeps a forked child off its parent's pool
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _worker_pool(n: int, n_tasks: int) -> ProcessPoolExecutor:
+    """The cached pool if it has between min(n, n_tasks) and n workers,
+    else a new one of min(n, n_tasks) workers in its place."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            pid, size, pool = _pool
+            if pid == os.getpid() and min(n, n_tasks) <= size <= n:
+                return pool
+            _pool = None
+            if pid == os.getpid():
+                pool.shutdown()
+        size = min(n, n_tasks)
+        pool = ProcessPoolExecutor(max_workers=size, initializer=_blas.set_threads, initargs=(1,))
+        _pool = (os.getpid(), size, pool)
+        return pool
+
+
+def _drop_pool(pool: ProcessPoolExecutor) -> None:
+    """Forget ``pool`` if it is the cached one, and shut it down."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[2] is pool:
+            _pool = None
+    pool.shutdown(cancel_futures=True)
+
+
 def _map_tasks(fn, tasks):
-    """Run every task on one BLAS thread, serially or in a worker pool."""
+    """Run every task on one BLAS thread, serially or in the worker pool."""
     n = worker_count()
     if n == 1 or len(tasks) <= 1:
         with _blas.pinned(1):
             return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(
-        max_workers=min(n, len(tasks)), initializer=_blas.set_threads, initargs=(1,)
-    ) as pool:
+    pool = _worker_pool(n, len(tasks))
+    try:
         return list(pool.map(fn, tasks))
+    except BaseException:
+        # a task's error or a dead worker: never reuse a pool in that state
+        _drop_pool(pool)
+        raise
 
 
 # ---------------------------------------------------------------------------

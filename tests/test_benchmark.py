@@ -5,6 +5,11 @@ suite; these tests pin the plumbing at smoke scale.
 """
 
 import os
+import subprocess
+import sys
+import threading
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +30,7 @@ from heppcat import (
     train_test_split,
     worker_count,
 )
-from heppcat import _blas
+from heppcat import _blas, benchmark
 from heppcat.benchmark import FIG6_BLOCK_SIZES, _map_tasks, _split_into_blocks
 
 
@@ -188,6 +193,134 @@ def test_tasks_run_on_one_blas_thread(monkeypatch):
         monkeypatch.setenv("HEPPCAT_THREADS", "2")
         assert _map_tasks(_blas_thread_counts, [0, 1]) == one
         assert _blas.thread_counts() == before
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _exit_worker(_):
+    os._exit(3)
+
+
+def _fail(_):
+    raise ValueError("task failed")
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _worker_pids() -> set:
+    """Every worker of this process's cached pool."""
+    return set(benchmark._pool[2]._processes)
+
+
+@pytest.fixture
+def no_pool():
+    """Start and end without a cached worker pool."""
+
+    def drop():
+        if benchmark._pool is not None:
+            benchmark._drop_pool(benchmark._pool[2])
+
+    drop()
+    yield
+    drop()
+
+
+def test_pool_is_reused_across_calls(monkeypatch, no_pool):
+    monkeypatch.setenv("HEPPCAT_THREADS", "2")
+    first = set(_map_tasks(_pid, range(4)))
+    workers = _worker_pids()
+    assert len(workers) == 2 and os.getpid() not in workers
+    assert first <= workers
+    assert set(_map_tasks(_pid, range(4))) <= workers
+    assert _worker_pids() == workers
+
+
+def test_pool_is_replaced_when_its_size_changes(monkeypatch, no_pool):
+    monkeypatch.setenv("HEPPCAT_THREADS", "2")
+    _map_tasks(_pid, range(2))
+    two = _worker_pids()
+    monkeypatch.setenv("HEPPCAT_THREADS", "3")
+    assert set(_map_tasks(_pid, range(3))) <= _worker_pids()
+    three = _worker_pids()
+    assert len(three) == 3 and not three & two
+    assert not any(_alive(pid) for pid in two)
+    # fewer tasks than workers: the pool is big enough, so it stays
+    _map_tasks(_pid, range(2))
+    assert _worker_pids() == three
+    monkeypatch.setenv("HEPPCAT_THREADS", "2")
+    _map_tasks(_pid, range(2))
+    assert len(_worker_pids()) == 2
+    assert not any(_alive(pid) for pid in three)
+
+
+def test_pool_is_dropped_after_a_failed_call(monkeypatch, no_pool):
+    monkeypatch.setenv("HEPPCAT_THREADS", "2")
+    for task, error in ((_exit_worker, BrokenProcessPool), (_fail, ValueError)):
+        _map_tasks(_pid, range(2))
+        workers = _worker_pids()
+        with pytest.raises(error):
+            _map_tasks(task, range(2))
+        assert benchmark._pool is None
+        assert not any(_alive(pid) for pid in workers)
+        # the next call runs on a fresh pool
+        assert set(_map_tasks(_pid, range(2))) <= _worker_pids()
+        assert not _worker_pids() & workers
+
+
+def test_threads_share_one_pool(monkeypatch, no_pool):
+    # more callers than cores, switching often: a lost update of the
+    # cache would leave some call on a pool other than the cached one
+    monkeypatch.setenv("HEPPCAT_THREADS", "2")
+    results = []
+
+    def study():
+        results.append(_map_tasks(_pid, range(4)))
+
+    threads = [threading.Thread(target=study) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == 4
+    assert set().union(*results) <= _worker_pids()
+
+
+def test_serial_calls_start_no_pool(monkeypatch, no_pool):
+    monkeypatch.setenv("HEPPCAT_THREADS", "2")
+    assert _map_tasks(_pid, [0]) == [os.getpid()]
+    monkeypatch.setenv("HEPPCAT_THREADS", "1")
+    assert _map_tasks(_pid, range(2)) == [os.getpid()] * 2
+    assert benchmark._pool is None
+
+
+def test_workers_exit_with_their_process():
+    src = str(Path(benchmark.__file__).parents[1])
+    code = (
+        "from heppcat import benchmark\n"
+        "benchmark.run_benchmark('fig3', trials=2, sigma_grid=(0.5,), methods=('ppca-full',))\n"
+        "print(*benchmark._pool[2]._processes)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src, "HEPPCAT_THREADS": "2"},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    pids = [int(pid) for pid in out.stdout.split()]
+    assert len(pids) == 2
+    assert not any(_alive(pid) for pid in pids)
 
 
 def test_pinned_finds_libraries_once(monkeypatch):
