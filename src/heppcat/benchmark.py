@@ -3,34 +3,20 @@
 All sweeps use the two-group planted model (d=100, k=3, factor
 variances (4, 2, 1), 200 samples at noise variance 1 and 800 samples at
 noise variance ``sigma2**2``) unless noted.  Every study (benchmark,
-landscape, train-test) is a list of independent tasks that one worker
-pool runs, and every task runs on one BLAS thread, in a worker or
-in-process alike.  The BLAS thread count changes rounding, and the pool
-returns results in task order, so rows do not depend on the pool size
-or on the core count.  The environment variable HEPPCAT_THREADS caps
-the pool (0 or unset uses every CPU this process may run on; 1 runs
-serially in-process).
-
-A process keeps one pool for its whole life: the first pooled study
-makes it and later studies reuse its warm workers.  A study replaces it
-when it has fewer workers than the study can use or more than
-HEPPCAT_THREADS allows; a study that raises shuts it down, and the next
-one starts a fresh pool.  Workers are forked when the pool first runs a
-task, so they do not see a function patched into heppcat after that.
-They exit with the process.
+landscape, train-test) is a list of independent tasks that the
+process's one worker pool runs (``_pool``), so rows do not depend on the
+pool size or on the core count, and HEPPCAT_THREADS caps it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-import threading
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import _blas
+from ._pool import _map_tasks, worker_count
 from .baselines import ppca_closed_form, weighted_pca
 from .fitter import DEFAULT_V_METHOD, FitConfig, fit, init_random
 from .metrics import component_recovery, factor_error, nrmse, relative_bias, subspace_error
@@ -96,23 +82,6 @@ def _noise_levels(values, name: str) -> tuple:
     if not levels or not all(math.isfinite(s) and s > 0 for s in levels):
         raise ValueError(f"{name} needs finite positive noise levels, got {levels}")
     return _distinct(levels, name)
-
-
-def worker_count() -> int:
-    """Pool size from HEPPCAT_THREADS (0 or unset means every CPU in this
-    process's affinity mask)."""
-    raw = os.environ.get("HEPPCAT_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"HEPPCAT_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError("HEPPCAT_THREADS must be >= 0")
-    if n > 0:
-        return n
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def preset_truth(sigma2: float, seed: int, trial: int = 0, blocked: bool = False) -> TruthModel:
@@ -237,54 +206,6 @@ def run_benchmark(preset: str, trials: int = 20, sigma_grid=None, methods=None, 
         rows.extend(chunk)
     rows.sort(key=lambda r: (r["trial"], r["sigma2"], r["method"]))
     return rows
-
-
-# this process's worker pool as (pid, size, executor), or None; the pid
-# keeps a forked child off its parent's pool
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _worker_pool(n: int, n_tasks: int) -> ProcessPoolExecutor:
-    """The cached pool if it has between min(n, n_tasks) and n workers,
-    else a new one of min(n, n_tasks) workers in its place."""
-    global _pool
-    with _pool_lock:
-        if _pool is not None:
-            pid, size, pool = _pool
-            if pid == os.getpid() and min(n, n_tasks) <= size <= n:
-                return pool
-            _pool = None
-            if pid == os.getpid():
-                pool.shutdown()
-        size = min(n, n_tasks)
-        pool = ProcessPoolExecutor(max_workers=size, initializer=_blas.set_threads, initargs=(1,))
-        _pool = (os.getpid(), size, pool)
-        return pool
-
-
-def _drop_pool(pool: ProcessPoolExecutor) -> None:
-    """Forget ``pool`` if it is the cached one, and shut it down."""
-    global _pool
-    with _pool_lock:
-        if _pool is not None and _pool[2] is pool:
-            _pool = None
-    pool.shutdown(cancel_futures=True)
-
-
-def _map_tasks(fn, tasks):
-    """Run every task on one BLAS thread, serially or in the worker pool."""
-    n = worker_count()
-    if n == 1 or len(tasks) <= 1:
-        with _blas.pinned(1):
-            return [fn(t) for t in tasks]
-    pool = _worker_pool(n, len(tasks))
-    try:
-        return list(pool.map(fn, tasks))
-    except BaseException:
-        # a task's error or a dead worker: never reuse a pool in that state
-        _drop_pool(pool)
-        raise
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 
 import numpy as np
 
+from ._pool import _map_tasks, worker_count
 from .model import FactorModel, GroupedData
 
 __all__ = [
@@ -31,7 +33,15 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_CHUNK_VALUES = 1 << 16
+# values per writer task and bytes per reader span: each bounds the
+# floats and text held per task, and keeps each task's result to under a
+# megabyte, so that the pool's results never pile up in the main process
+_CHUNK_VALUES = 1 << 15
+_SPAN_BYTES = 1 << 20
+# a dataset file, or a dataset's float64 values, smaller than this many
+# bytes is read or written in-process and starts no pool: below it,
+# starting the pool costs about what the other cores save
+_POOL_BYTES = 1 << 22
 
 
 def write_dataset(path, data: GroupedData, labels=None) -> None:
@@ -44,16 +54,26 @@ def write_dataset(path, data: GroupedData, labels=None) -> None:
         w = csv.writer(fh)
         w.writerow(["group"] + [f"f{j + 1}" for j in range(data.d)])
         end = w.dialect.lineterminator
-        # bounds the Python floats and strings held per write
+        # bounds the Python floats and strings held per task
         step = max(1, _CHUNK_VALUES // data.d)
+        tasks = []
         for label, block in zip(labels, data.blocks):
             # the label as csv quotes it, then the delimiter
             buf = io.StringIO()
             csv.writer(buf).writerow([label, ""])
             prefix = buf.getvalue()[: -len(end)]
-            for a in range(0, block.shape[1], step):
-                samples = block[:, a : a + step].T.tolist()
-                fh.write("".join([prefix + ",".join(map(repr, x)) + end for x in samples]))
+            tasks += [(prefix, end, block[:, a : a + step]) for a in range(0, block.shape[1], step)]
+        n = worker_count() if data.Y.nbytes >= _POOL_BYTES else 1
+        # a few tasks at a time, so the whole text is never held at once
+        for i in range(0, len(tasks), 2 * n):
+            batch = tasks[i : i + 2 * n]
+            fh.writelines(_map_tasks(_format_rows, batch) if n > 1 else map(_format_rows, batch))
+
+
+def _format_rows(task) -> str:
+    """CSV lines of one task's samples, the columns of a block slice."""
+    prefix, end, columns = task
+    return "".join([prefix + ",".join(map(repr, x)) + end for x in columns.T.tolist()])
 
 
 def write_rows(path, fieldnames, rows) -> None:
@@ -77,29 +97,72 @@ def read_dataset(path):
     ``float`` accepts.  Groups are numbered by first appearance of their
     label.  Malformed rows raise ValueError naming the 1-based file line.
     """
-    try:
-        parsed = _read_plain(path)
-    except ValueError:
-        parsed = None
+    parsed = _read_plain(path)
     blocks, labels = parsed if parsed is not None else _read_rows(path)
     return GroupedData(blocks), labels
 
 
 def _read_plain(path):
-    """Parse a file without quotes, one numpy parse per group.
+    """Parse a file without quotes, one numpy parse per group and span.
 
-    Returns None (or lets numpy raise ValueError) on anything else, so
-    that ``_read_rows`` decides: numpy's parser accepts a subset of what
-    ``float`` does and gives the same double for it.
+    The file is cut into byte spans of about ``_SPAN_BYTES``, parsed in
+    the worker pool if the file has ``_POOL_BYTES`` or more.  Returns
+    None on anything but plain rows, so that ``_read_rows`` decides:
+    numpy's parser accepts a subset of what ``float`` does and gives the
+    same double for it.
     """
+    try:
+        with open(path) as fh:
+            header = fh.readline()
+    except ValueError:
+        return None
+    names = header.rstrip("\n").split(",")
+    if '"' in header or len(names) < 2 or names[0] != "group":
+        return None
+    size = os.path.getsize(path)
+    n = worker_count() if size >= _POOL_BYTES else 1
+    # workers forked before a chdir would resolve a relative path elsewhere
+    path = os.path.abspath(path)
+    cuts = list(range(0, size, _SPAN_BYTES)) + [size]
+    tasks = [(path, a, b, len(names) - 2) for a, b in zip(cuts, cuts[1:])]
     groups: dict = {}
-    with open(path) as fh:
-        header = fh.readline()
-        names = header.rstrip("\n").split(",")
-        if '"' in header or len(names) < 2 or names[0] != "group":
-            return None
-        commas = len(names) - 2
-        for line in fh:
+    for i in range(0, len(tasks), 2 * n):
+        batch = tasks[i : i + 2 * n]
+        for span in _map_tasks(_read_span, batch) if n > 1 else map(_read_span, batch):
+            if span is None:
+                return None
+            for label, rows in span:
+                # copied by this thread: the pool's result thread made
+                # ``rows``, and its memory then serves the next batch
+                # instead of holding the whole file's values apart
+                groups.setdefault(label, []).append(rows.copy())
+    if not groups:
+        return None
+    return [np.concatenate(parts).T for parts in groups.values()], tuple(groups)
+
+
+def _read_span(task):
+    """``[(label, rows), ...]`` in first-appearance order for the plain
+    lines that start in bytes [a, b) of the file, skipping the header;
+    None if any such line is not plain or numpy rejects a value."""
+    path, a, b, commas = task
+    groups: dict = {}
+    try:
+        with open(path, "rb") as fh:
+            if a:
+                # the line holding byte a - 1 starts in an earlier span;
+                # if it runs on to b, no line starts in this one
+                fh.seek(a - 1)
+                fh.readline(b - a + 1)
+            blob = fh.read(b - fh.tell())
+            if blob and not blob.endswith(b"\n"):
+                blob += fh.readline()
+        # the span ends at a b"\n", a line end in any ASCII-superset
+        # encoding, so it decodes and splits as in open(path)
+        lines = io.TextIOWrapper(io.BytesIO(blob))
+        if a == 0:
+            lines.readline()
+        for line in lines:
             if line == "\n":
                 continue
             label, sep, rest = line.partition(",")
@@ -107,10 +170,13 @@ def _read_plain(path):
             if not sep or '"' in label or rest in ("", "\n") or rest.count(",") != commas:
                 return None
             groups.setdefault(label, []).append(rest)
-    if not groups:
+        return [
+            (label, np.loadtxt(rows, delimiter=",", comments=None, ndmin=2))
+            for label, rows in groups.items()
+        ]
+    except (OSError, ValueError):
+        # the serial reader raises the error, or accepts what numpy does not
         return None
-    blocks = [np.loadtxt(rows, delimiter=",", comments=None, ndmin=2).T for rows in groups.values()]
-    return blocks, tuple(groups)
 
 
 def _read_rows(path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heppcat import FactorModel, GroupedData, VCoefficients, compress_gram
+from heppcat import FactorModel, GroupedData, VCoefficients, _pool, compress_gram
 
 _acceptance_lines: list = []
 
@@ -89,3 +89,21 @@ def derivative_on_grid(c, grid):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
+
+
+def worker_pids() -> set:
+    """Every worker of this process's cached pool."""
+    return set(_pool._pool[2]._processes)
+
+
+@pytest.fixture
+def no_pool():
+    """Start and end without a cached worker pool."""
+
+    def drop():
+        if _pool._pool is not None:
+            _pool._drop_pool(_pool._pool[2])
+
+    drop()
+    yield
+    drop()

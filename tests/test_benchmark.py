@@ -30,8 +30,11 @@ from heppcat import (
     train_test_split,
     worker_count,
 )
-from heppcat import _blas, benchmark
-from heppcat.benchmark import FIG6_BLOCK_SIZES, _map_tasks, _split_into_blocks
+from heppcat import _blas, _pool, benchmark
+from heppcat._pool import _map_tasks
+from heppcat.benchmark import FIG6_BLOCK_SIZES, _split_into_blocks
+
+from conftest import worker_pids
 
 
 @pytest.fixture(autouse=True)
@@ -215,49 +218,31 @@ def _alive(pid: int) -> bool:
     return True
 
 
-def _worker_pids() -> set:
-    """Every worker of this process's cached pool."""
-    return set(benchmark._pool[2]._processes)
-
-
-@pytest.fixture
-def no_pool():
-    """Start and end without a cached worker pool."""
-
-    def drop():
-        if benchmark._pool is not None:
-            benchmark._drop_pool(benchmark._pool[2])
-
-    drop()
-    yield
-    drop()
-
-
 def test_pool_is_reused_across_calls(monkeypatch, no_pool):
     monkeypatch.setenv("HEPPCAT_THREADS", "2")
     first = set(_map_tasks(_pid, range(4)))
-    workers = _worker_pids()
+    workers = worker_pids()
     assert len(workers) == 2 and os.getpid() not in workers
     assert first <= workers
     assert set(_map_tasks(_pid, range(4))) <= workers
-    assert _worker_pids() == workers
+    assert worker_pids() == workers
 
 
 def test_pool_is_replaced_when_its_size_changes(monkeypatch, no_pool):
     monkeypatch.setenv("HEPPCAT_THREADS", "2")
     _map_tasks(_pid, range(2))
-    two = _worker_pids()
+    two = worker_pids()
     monkeypatch.setenv("HEPPCAT_THREADS", "3")
-    assert set(_map_tasks(_pid, range(3))) <= _worker_pids()
-    three = _worker_pids()
+    assert set(_map_tasks(_pid, range(3))) <= worker_pids()
+    three = worker_pids()
     assert len(three) == 3 and not three & two
     assert not any(_alive(pid) for pid in two)
     # fewer tasks than workers: the pool is big enough, so it stays
     _map_tasks(_pid, range(2))
-    assert _worker_pids() == three
+    assert worker_pids() == three
     monkeypatch.setenv("HEPPCAT_THREADS", "2")
     _map_tasks(_pid, range(2))
-    assert len(_worker_pids()) == 2
+    assert len(worker_pids()) == 2
     assert not any(_alive(pid) for pid in three)
 
 
@@ -265,14 +250,14 @@ def test_pool_is_dropped_after_a_failed_call(monkeypatch, no_pool):
     monkeypatch.setenv("HEPPCAT_THREADS", "2")
     for task, error in ((_exit_worker, BrokenProcessPool), (_fail, ValueError)):
         _map_tasks(_pid, range(2))
-        workers = _worker_pids()
+        workers = worker_pids()
         with pytest.raises(error):
             _map_tasks(task, range(2))
-        assert benchmark._pool is None
+        assert _pool._pool is None
         assert not any(_alive(pid) for pid in workers)
         # the next call runs on a fresh pool
-        assert set(_map_tasks(_pid, range(2))) <= _worker_pids()
-        assert not _worker_pids() & workers
+        assert set(_map_tasks(_pid, range(2))) <= worker_pids()
+        assert not worker_pids() & workers
 
 
 def test_threads_share_one_pool(monkeypatch, no_pool):
@@ -295,7 +280,7 @@ def test_threads_share_one_pool(monkeypatch, no_pool):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and len(results) == 4
-    assert set().union(*results) <= _worker_pids()
+    assert set().union(*results) <= worker_pids()
 
 
 def test_serial_calls_start_no_pool(monkeypatch, no_pool):
@@ -303,15 +288,36 @@ def test_serial_calls_start_no_pool(monkeypatch, no_pool):
     assert _map_tasks(_pid, [0]) == [os.getpid()]
     monkeypatch.setenv("HEPPCAT_THREADS", "1")
     assert _map_tasks(_pid, range(2)) == [os.getpid()] * 2
-    assert benchmark._pool is None
+    assert _pool._pool is None
+
+
+def test_pools_do_not_nest():
+    # a worker that forked a pool of its own would put 2 x 2 processes on
+    # 2 cores, or hang; the subprocess bounds the wait
+    src = str(Path(benchmark.__file__).parents[1])
+    code = (
+        "import os\n"
+        "from heppcat import _pool\n"
+        "def pid(_): return os.getpid()\n"
+        "def inner(_): return os.getpid(), _pool._map_tasks(pid, range(3))\n"
+        "for outer, pids in _pool._map_tasks(inner, range(4)):\n"
+        "    assert pids == [outer] * 3, (outer, pids)\n"
+        "print(len(_pool._pool[2]._processes))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src, "HEPPCAT_THREADS": "2"},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.split() == ["2"]
 
 
 def test_workers_exit_with_their_process():
     src = str(Path(benchmark.__file__).parents[1])
     code = (
-        "from heppcat import benchmark\n"
+        "from heppcat import _pool, benchmark\n"
         "benchmark.run_benchmark('fig3', trials=2, sigma_grid=(0.5,), methods=('ppca-full',))\n"
-        "print(*benchmark._pool[2]._processes)\n"
+        "print(*_pool._pool[2]._processes)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],

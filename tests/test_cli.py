@@ -35,6 +35,8 @@ from heppcat import _blas
 from heppcat.cli import build_parser, main, parse_feature_blocks
 from heppcat.errors import NumericalError
 
+from conftest import worker_pids
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -222,6 +224,50 @@ def test_fit_missing_file_exit_2(tmp_path, capsys):
     code = run(["fit", "--data", tmp_path / "nope.csv", "--rank", 2, "--out", tmp_path / "m.json"])
     assert code == 2
     capsys.readouterr()
+
+
+def test_fit_file_removed_after_its_header_exit_2(tmp_path, capsys, monkeypatch, no_pool):
+    import heppcat.dataio as dataio
+
+    sim = simulate_small(tmp_path)
+    monkeypatch.setattr(dataio, "_POOL_BYTES", 0)
+    monkeypatch.setattr(dataio, "_SPAN_BYTES", 512)
+    monkeypatch.setenv("HEPPCAT_THREADS", "2")
+    read_dataset(sim / "data.csv")
+    workers = worker_pids()
+    map_tasks = dataio._map_tasks
+
+    def remove_then_map(fn, tasks):
+        (sim / "data.csv").unlink(missing_ok=True)
+        return map_tasks(fn, tasks)
+
+    monkeypatch.setattr(dataio, "_map_tasks", remove_then_map)
+    code = run(["fit", "--data", sim / "data.csv", "--rank", 2, "--out", tmp_path / "m.json"])
+    assert code == 2
+    assert "No such file" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+    assert worker_pids() == workers
+
+
+def test_csv_commands_do_not_depend_on_pool_size(tmp_path, monkeypatch):
+    import heppcat.dataio as dataio
+
+    monkeypatch.setattr(dataio, "_POOL_BYTES", 0)
+    monkeypatch.setattr(dataio, "_SPAN_BYTES", 512)
+    monkeypatch.setattr(dataio, "_CHUNK_VALUES", 64)
+    out = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HEPPCAT_THREADS", threads)
+        sim = simulate_small(tmp_path / threads)
+        fit = ["fit", "--data", tmp_path / "1" / "sim3" / "data.csv", "--rank", 2, "--max-iters", 50]
+        assert run(fit + ["--out", tmp_path / threads / "m.json"]) in (0, 3)
+        assert run(fit + ["--compress", "--out", tmp_path / threads / "c.json"]) in (0, 3)
+        out[threads] = [
+            (sim / "data.csv").read_bytes(),
+            (tmp_path / threads / "m.json").read_bytes(),
+            (tmp_path / threads / "c.json").read_bytes(),
+        ]
+    assert out["1"] == out["2"]
 
 
 def test_fit_numerical_failure_exit_4(tmp_path, capsys, monkeypatch):

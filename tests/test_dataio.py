@@ -1,6 +1,7 @@
 """Round-trip and validation tests for dataset CSV and model JSON files."""
 
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from heppcat import (
     write_json,
 )
 
-from conftest import random_model_and_data
+from conftest import random_model_and_data, worker_pids
 
 
 def test_dataset_roundtrip_exact(rng, tmp_path):
@@ -152,7 +153,10 @@ def _reference_csv(path, data, labels):
                 w.writerow([label] + [repr(float(x)) for x in block[:, i]])
 
 
-@pytest.mark.parametrize("labels", [["plain", "", "a,b", 'say "hi"'], ['say "hi"', "", "x", "y"]])
+_LABEL_SETS = [["plain", "", "a,b", 'say "hi"'], ['say "hi"', "", "x", "y"]]
+
+
+@pytest.mark.parametrize("labels", _LABEL_SETS)
 def test_write_dataset_matches_reference_writer(rng, tmp_path, labels):
     _, data = random_model_and_data(rng, d=5, k=2, L=4, n_per_group=(7, 1, 12, 3))
     blocks = [B * 10.0 ** rng.integers(-300, 300, size=B.shape) for B in data.blocks]
@@ -168,22 +172,22 @@ def test_write_dataset_matches_reference_writer(rng, tmp_path, labels):
         assert A.tobytes() == B.tobytes()
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "5e-324",
-        "2.2250738585072014e-308",
-        "2.2250738585072011e-308",
-        "0.30000000000000004",
-        "1.2345678901234567e-89",
-        "9007199254740993",
-        "1e16",
-        "-0.0",
-        "1.7976931348623157e308",
-        "1e-400",
-        "  +8.5e2 ",
-    ],
-)
+_HARD_VALUES = [
+    "5e-324",
+    "2.2250738585072014e-308",
+    "2.2250738585072011e-308",
+    "0.30000000000000004",
+    "1.2345678901234567e-89",
+    "9007199254740993",
+    "1e16",
+    "-0.0",
+    "1.7976931348623157e308",
+    "1e-400",
+    "  +8.5e2 ",
+]
+
+
+@pytest.mark.parametrize("text", _HARD_VALUES)
 def test_values_parse_bit_identical_to_float(tmp_path, monkeypatch, text):
     monkeypatch.setattr(dataio, "_read_rows", _no_fallback)
     path = tmp_path / "hard.csv"
@@ -222,3 +226,121 @@ def test_values_numpy_rejects_still_parse(tmp_path):
     data, labels = read_dataset(path)
     assert labels == ("a",)
     assert np.array_equal(data.blocks[0], [[10.0, 3.5], [2.0, 4.0]])
+
+
+# ---------------------------------------------------------------------------
+# byte spans and the worker pool
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Every file is read in spans of a few bytes and written a few values
+    per task, through the worker pool: two workers unless HEPPCAT_THREADS
+    says otherwise (under 1 the same spans and tasks run in-process)."""
+    monkeypatch.setattr(dataio, "_POOL_BYTES", 0)
+    monkeypatch.setattr(dataio, "_SPAN_BYTES", 5)
+    monkeypatch.setattr(dataio, "_CHUNK_VALUES", 4)
+    monkeypatch.setenv("HEPPCAT_THREADS", os.environ.get("HEPPCAT_THREADS", "2"))
+
+
+# blank runs, labels that interleave, one group seen only late
+_SPAN_LINES = ["group,f1,f2", "z,1.0,2.0", "", "", "", "a,3.5,-4", "z,5e-3,6.0", "", "m,7,8", "a,9,1e2", ""]
+_SPAN_BLOCKS = {"z": [[1.0, 5e-3], [2.0, 6.0]], "a": [[3.5, 9.0], [-4.0, 100.0]], "m": [[7.0], [8.0]]}
+
+
+def _check_span_file(path):
+    data, labels = read_dataset(path)
+    assert labels == tuple(_SPAN_BLOCKS)
+    for block, want in zip(data.blocks, _SPAN_BLOCKS.values()):
+        assert np.array_equal(block, want)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_spans_cut_at_any_byte(tmp_path, monkeypatch, end):
+    # span sizes from 1 byte (a cut at every byte: line starts, mid-line,
+    # inside blank runs, between CR and LF) to the whole file; a CR-only
+    # file has no b"\n", so its first span takes it all
+    path = tmp_path / "data.csv"
+    path.write_bytes(end.join(_SPAN_LINES).encode())
+    monkeypatch.setattr(dataio, "_read_rows", _no_fallback)
+    for span in range(1, path.stat().st_size + 2):
+        monkeypatch.setattr(dataio, "_SPAN_BYTES", span)
+        _check_span_file(path)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_pooled_spans_read_the_same(tmp_path, monkeypatch, pooled, end):
+    path = tmp_path / "data.csv"
+    path.write_bytes(end.join(_SPAN_LINES).encode())
+    monkeypatch.setattr(dataio, "_read_rows", _no_fallback)
+    for span in (1, 5, 16):
+        monkeypatch.setattr(dataio, "_SPAN_BYTES", span)
+        _check_span_file(path)
+
+
+@pytest.mark.parametrize("labels", _LABEL_SETS)
+def test_pooled_write_matches_reference_writer(rng, tmp_path, pooled, labels):
+    test_write_dataset_matches_reference_writer(rng, tmp_path, labels)
+
+
+@pytest.mark.parametrize("text", _HARD_VALUES)
+def test_pooled_values_parse_bit_identical_to_float(tmp_path, monkeypatch, pooled, text):
+    test_values_parse_bit_identical_to_float(tmp_path, monkeypatch, text)
+
+
+def test_csv_does_not_depend_on_pool_size(rng, tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_POOL_BYTES", 0)
+    monkeypatch.setattr(dataio, "_SPAN_BYTES", 64)
+    monkeypatch.setattr(dataio, "_CHUNK_VALUES", 16)
+    _, data = random_model_and_data(rng, d=5, k=2, L=3, n_per_group=(30, 7, 50))
+    out = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HEPPCAT_THREADS", threads)
+        path = tmp_path / f"data{threads}.csv"
+        write_dataset(path, data, labels=["x", "y y", "-"])
+        out[threads] = path.read_bytes(), read_dataset(path)
+    (bytes1, (back1, labels1)), (bytes2, (back2, labels2)) = out["1"], out["2"]
+    assert bytes1 == bytes2
+    assert labels1 == labels2 == ("x", "y y", "-")
+    assert back1.Y.tobytes() == back2.Y.tobytes() == data.Y.tobytes()
+
+
+@pytest.mark.parametrize(
+    "last, value, match",
+    [
+        # parsed by the fallback: a quoted label, a value numpy rejects
+        ('"b",4.0', 4.0, None),
+        ("b,1_0", 10.0, None),
+        # a bad last line
+        ("b,oops", None, "line 5: non-numeric"),
+        ("b,1,2", None, "line 5: expected 2 fields, got 3"),
+    ],
+)
+def test_bad_files_keep_the_pool(tmp_path, monkeypatch, no_pool, last, value, match):
+    monkeypatch.setattr(dataio, "_POOL_BYTES", 0)
+    monkeypatch.setenv("HEPPCAT_THREADS", "2")
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("group,f1\na,1.0\nb,2.0\na,3.0\nb,4.0\n")
+    bad.write_text(f"group,f1\na,1.0\nb,2.0\na,3.0\n{last}\n")
+    # four spans, one batch: a worker reads the last line
+    monkeypatch.setattr(dataio, "_SPAN_BYTES", -(-bad.stat().st_size // 4))
+    read_dataset(good)
+    workers = worker_pids()
+    if match is None:
+        data, labels = read_dataset(bad)
+        assert labels == ("a", "b")
+        assert np.array_equal(data.Y, [[1.0, 3.0, 2.0, value]])
+    else:
+        with pytest.raises(ValueError, match=match):
+            read_dataset(bad)
+    assert worker_pids() == workers
+
+
+def test_pooled_read_of_a_relative_path_after_chdir(tmp_path, monkeypatch, no_pool, pooled):
+    # the workers keep the directory they were forked in
+    (tmp_path / "data.csv").write_text("group,f1\na,1.0\nb,2.0\n")
+    read_dataset(tmp_path / "data.csv")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(dataio, "_read_rows", _no_fallback)
+    data, labels = read_dataset("data.csv")
+    assert labels == ("a", "b") and np.array_equal(data.Y, [[1.0, 2.0]])
