@@ -6,11 +6,23 @@ noise variance ``sigma2**2``) unless noted.  Every study (benchmark,
 landscape, train-test) is a list of independent tasks that the
 process's one worker pool runs (``_pool``), so rows do not depend on the
 pool size or on the core count, and HEPPCAT_THREADS caps it.
+
+A task draws its dataset once and prepares it once for all of its fits.
+A group's data enter a fit only through ``Y_l Y_l'``, so the fits run on
+the Gram roots of :func:`compress_gram`, which shrinks the preset's
+200 + 800 columns to 100 + 100.  The spectral start is computed once, by
+``ppca_closed_form`` on the raw data: it is the ``ppca-full`` result and,
+bit for bit, the ``init="ppca"`` start of every heppcat fit in the task.
+Baseline rows are computed on the raw data; a heppcat row may differ
+from a fit of the raw data in its last digits.  fig6's blocks have at
+most ``d`` columns, so they are fitted as they are.  A harness fit that
+stops at its iteration budget logs a ``heppcat`` warning.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -19,6 +31,7 @@ from . import _blas
 from ._pool import _map_tasks, worker_count
 from .baselines import ppca_closed_form, weighted_pca
 from .fitter import DEFAULT_V_METHOD, FitConfig, fit, init_random
+from .fupdate import compress_gram
 from .metrics import component_recovery, factor_error, nrmse, relative_bias, subspace_error
 from .model import FactorModel, GroupedData, _count, _whole, group_coefficients, univariate_objective
 from .simgen import TruthModel, generate, haar_orthonormal, rng_stream
@@ -68,6 +81,8 @@ FIG6_BLOCK_SIZES = (1, 10, 100)
 # the variances have moved
 _FIT_KW = dict(max_iters=1000, tol=1e-8, loglik_tol=1e-10)
 
+_log = logging.getLogger("heppcat")
+
 
 def _distinct(values: tuple, name: str) -> tuple:
     """``values``, unless one of them repeats."""
@@ -103,8 +118,16 @@ def preset_truth(sigma2: float, seed: int, trial: int = 0, blocked: bool = False
     )
 
 
-def _fit_heppcat(data: GroupedData, v_method: str, rank: int = PRESET_K) -> FactorModel:
-    return fit(data, FitConfig(rank=rank, v_method=v_method, **_FIT_KW)).model
+def _fit_heppcat(data: GroupedData, method: str, start: FactorModel) -> FactorModel:
+    """The harness fit of heppcat ``method`` from ``start``; a fit that
+    stops at the iteration budget is logged, not scored silently."""
+    res = fit(data, FitConfig(rank=start.k, v_method=_HEPPCAT_METHODS[method], init=start, **_FIT_KW))
+    if not res.converged:
+        _log.warning(
+            "%s fit on L=%d groups stopped at max_iters without converging (%d iterations)",
+            method, data.L, res.iterations,
+        )
+    return res.model
 
 
 def _split_into_blocks(data: GroupedData, block: int) -> GroupedData:
@@ -115,14 +138,17 @@ def _split_into_blocks(data: GroupedData, block: int) -> GroupedData:
     return GroupedData.from_samples(data.Y, [block] * (data.n // block))
 
 
-def _standard_rows(preset: str, method: str, data: GroupedData, truth: TruthModel) -> list:
-    """metric/value pairs for one method on one dataset."""
+def _standard_rows(
+    preset: str, method: str, data: GroupedData, truth: TruthModel, start: FactorModel, packed: GroupedData
+) -> list:
+    """metric/value pairs for one method on one dataset; ``start`` is the
+    dataset's spectral model and ``packed`` its Gram roots."""
     F_true = truth.F
     if method in _HEPPCAT_METHODS:
-        model = _fit_heppcat(data, _HEPPCAT_METHODS[method])
+        model = _fit_heppcat(packed, method, start)
         U_hat, F_hat = model.U, model.F
     elif method == "ppca-full":
-        model = ppca_closed_form(data, PRESET_K)
+        model = start
         U_hat, F_hat = model.U, model.F
     elif method in ("ppca-group1", "ppca-group2"):
         g = 0 if method.endswith("1") else 1
@@ -151,11 +177,11 @@ def _standard_rows(preset: str, method: str, data: GroupedData, truth: TruthMode
 
 
 def _fig6_rows(method: str, data: GroupedData, truth: TruthModel) -> list:
+    # blocks of at most d columns have no thinner Gram root, so they are fitted as they are
     out = []
-    v_method = _HEPPCAT_METHODS[method]
     for block in FIG6_BLOCK_SIZES:
         regrouped = _split_into_blocks(data, block)
-        model = _fit_heppcat(regrouped, v_method)
+        model = _fit_heppcat(regrouped, method, ppca_closed_form(regrouped, PRESET_K))
         # blocks inherit the true variance of the group they came from
         true_v = np.repeat(truth.v, [n // block for n in truth.group_sizes])
         for v_hat, v_true in zip(model.v, true_v):
@@ -167,12 +193,15 @@ def _benchmark_task(payload: tuple) -> list:
     preset, trial, sigma2, seed, methods = payload
     truth = preset_truth(sigma2, seed, trial, blocked=(preset == "fig7"))
     data = generate(truth, seed, trial)
+    any_fit = preset != "fig6-blocks" and any(m in _HEPPCAT_METHODS for m in methods)
+    start = ppca_closed_form(data, PRESET_K) if any_fit or "ppca-full" in methods else None
+    packed = compress_gram(data) if any_fit else None
     rows = []
     for method in methods:
         pairs = (
             _fig6_rows(method, data, truth)
             if preset == "fig6-blocks"
-            else _standard_rows(preset, method, data, truth)
+            else _standard_rows(preset, method, data, truth, start, packed)
         )
         rows.extend(
             {"trial": trial, "sigma2": sigma2, "method": method, "metric": m, "value": v}
@@ -216,13 +245,14 @@ def _landscape_task(payload: tuple) -> list:
     method, s_idx, v2, seed, n_random, max_iters = payload
     truth = preset_truth(np.sqrt(v2), seed, trial=s_idx)
     data = generate(truth, seed, trial=s_idx)
-    runs = [("ppca", 0, "ppca"), ("oracle", 0, FactorModel(truth.F, truth.v))]
+    runs = [("ppca", 0, ppca_closed_form(data, truth.k)), ("oracle", 0, FactorModel(truth.F, truth.v))]
     runs += [
         ("random", r, init_random(truth.d, truth.k, truth.L, rng_stream(seed, 2, s_idx, r)))
         for r in range(n_random)
     ]
+    packed = compress_gram(data)
     kw = dict(rank=truth.k, v_method=method, max_iters=max_iters, tol=1e-8, loglik_tol=1e-9)
-    results = [(name, run, fit(data, FitConfig(init=init, **kw))) for name, run, init in runs]
+    results = [(name, run, fit(packed, FitConfig(init=init, **kw))) for name, run, init in runs]
     converged = [r.trace.loglik[-1] for _, _, r in results if r.converged]
     best = max(converged) if converged else max(r.trace.loglik[-1] for _, _, r in results)
     return [
@@ -327,9 +357,10 @@ def _train_test_task(payload: tuple) -> list:
     truth = preset_truth(sigma2, seed, trial)
     data = generate(truth, seed, trial)
     train, test = train_test_split(data, fraction, seed, trial)
+    start = ppca_closed_form(train, rank)
     bases = {
-        "heppcat": _fit_heppcat(train, DEFAULT_V_METHOD, rank).U,
-        "ppca-full": ppca_closed_form(train, rank).U,
+        "heppcat": _fit_heppcat(compress_gram(train), "heppcat", start).U,
+        "ppca-full": start.U,
     }
     pooled = {"train": train.Y, "test": test.Y}
     return [

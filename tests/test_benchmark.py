@@ -4,6 +4,7 @@ Heavier statistical claims about the sweeps live in the acceptance
 suite; these tests pin the plumbing at smoke scale.
 """
 
+import logging
 import os
 import subprocess
 import sys
@@ -15,19 +16,23 @@ import numpy as np
 import pytest
 
 from heppcat import (
+    FitConfig,
     GroupedData,
     PRESETS,
+    V_METHODS,
     component_recovery,
     factor_error,
     generate,
     log_likelihood_direct,
     FactorModel,
+    fit,
     ppca_closed_form,
     preset_truth,
     run_benchmark,
     run_landscape,
     train_test_nrmse,
     train_test_split,
+    weighted_pca,
     worker_count,
 )
 from heppcat import _blas, _pool, benchmark
@@ -71,23 +76,80 @@ def test_benchmark_is_deterministic():
     assert a == b
 
 
-def test_benchmark_common_random_numbers():
+def _fig3_metrics(U, F, truth) -> dict:
+    out = {} if F is None else {"factor_error": factor_error(F, truth.F)}
+    out.update((f"recovery{j + 1}", float(r)) for j, r in enumerate(component_recovery(U, truth.U)))
+    return out
+
+
+@pytest.fixture
+def no_compression(monkeypatch):
+    def refuse(data):
+        raise AssertionError("compressed a dataset")
+
+    monkeypatch.setattr(benchmark, "compress_gram", refuse)
+
+
+def test_benchmark_common_random_numbers(no_compression):
     # the same trial index reuses the same planted model and noise draw
-    # across methods, so paired comparisons are variance-reduced
-    rows = run_benchmark(
-        "fig3", trials=1, sigma_grid=(1.0,), methods=("ppca-group1", "ppca-group2"), seed=0
-    )
+    # across methods, so paired comparisons are variance-reduced; the
+    # baselines see the raw data, and a sweep without a heppcat fit
+    # compresses nothing
+    methods = ("ppca-full", "ppca-group1", "ppca-group2", "wpca-inv")
+    rows = run_benchmark("fig3", trials=1, sigma_grid=(1.0,), methods=methods, seed=0)
     truth = preset_truth(1.0, 0, 0)
     data = generate(truth, 0, 0)
     with _blas.pinned(1):
-        for g, method in enumerate(("ppca-group1", "ppca-group2")):
-            model = ppca_closed_form(GroupedData([data.blocks[g]]), 3)
-            want = {"factor_error": factor_error(model.F, truth.F)}
-            want.update(
-                (f"recovery{j + 1}", float(r))
-                for j, r in enumerate(component_recovery(model.U, truth.U))
-            )
-            assert {r["metric"]: r["value"] for r in rows if r["method"] == method} == want
+        models = {
+            "ppca-full": ppca_closed_form(data, 3),
+            "ppca-group1": ppca_closed_form(GroupedData([data.blocks[0]]), 3),
+            "ppca-group2": ppca_closed_form(GroupedData([data.blocks[1]]), 3),
+        }
+        want = {m: _fig3_metrics(model.U, model.F, truth) for m, model in models.items()}
+        want["wpca-inv"] = _fig3_metrics(weighted_pca(data, 1.0 / truth.v, 3), None, truth)
+    for method in methods:
+        assert {r["metric"]: r["value"] for r in rows if r["method"] == method} == want[method]
+
+
+@pytest.mark.parametrize("sigma2", [0.5, 2.0])
+def test_heppcat_rows_match_raw_data_fits(sigma2, monkeypatch, caplog):
+    # the harness fits Gram roots from one shared spectral start: each
+    # heppcat row matches a default-start fit of the raw data to
+    # rounding, after as many iterations, and the start itself, the
+    # ppca-full row, is the raw data's closed form exactly
+    iterations = []
+
+    def counted(data, cfg):
+        res = fit(data, cfg)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(benchmark, "fit", counted)
+    methods = tuple(f"heppcat-{m}" for m in V_METHODS)
+    with caplog.at_level(logging.WARNING, logger="heppcat"):
+        rows = run_benchmark("fig3", trials=1, sigma_grid=(sigma2,), methods=methods + ("ppca-full",), seed=0)
+    assert not [r for r in caplog.records if r.name == "heppcat"]
+    truth = preset_truth(sigma2, 0, 0)
+    data = generate(truth, 0, 0)
+    with _blas.pinned(1):
+        spectral = ppca_closed_form(data, 3)
+        got = {r["metric"]: r["value"] for r in rows if r["method"] == "ppca-full"}
+        assert got == _fig3_metrics(spectral.U, spectral.F, truth)
+        for method, v_method, its in zip(methods, V_METHODS, iterations, strict=True):
+            raw = fit(data, FitConfig(rank=3, v_method=v_method, **benchmark._FIT_KW))
+            assert raw.iterations == its, method
+            got = {r["metric"]: r["value"] for r in rows if r["method"] == method}
+            assert got == pytest.approx(_fig3_metrics(raw.model.U, raw.model.F, truth), rel=1e-9), method
+
+
+def test_capped_harness_fits_are_logged(monkeypatch, caplog):
+    monkeypatch.setattr(benchmark, "_FIT_KW", dict(benchmark._FIT_KW, max_iters=3))
+    with caplog.at_level(logging.WARNING, logger="heppcat"):
+        rows = run_benchmark("fig3", trials=1, sigma_grid=(2.0,), methods=("heppcat-doc", "ppca-full"), seed=0)
+    warnings = [r.getMessage() for r in caplog.records if r.name == "heppcat"]
+    assert warnings == ["heppcat-doc fit on L=2 groups stopped at max_iters without converging (3 iterations)"]
+    # the capped fit is still scored
+    assert {r["method"] for r in rows} == {"heppcat-doc", "ppca-full"}
 
 
 def test_benchmark_validation():
@@ -351,7 +413,8 @@ def test_pinned_finds_libraries_once(monkeypatch):
     assert after == before
 
 
-def test_fig6_metric_names_and_clustering():
+def test_fig6_metric_names_and_clustering(no_compression):
+    # blocks of at most d columns are fitted as they are
     rows = run_benchmark("fig6-blocks", trials=1, sigma_grid=(2.0,), seed=0)
     metrics = {r["metric"] for r in rows}
     for block in FIG6_BLOCK_SIZES:

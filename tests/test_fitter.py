@@ -194,6 +194,15 @@ def test_explicit_and_random_inits():
     # different seeds start elsewhere
     r3 = fit(data, FitConfig(rank=2, init=init_random(data.d, 2, data.L, 4), max_iters=1))
     assert r3.trace.loglik[0] != pytest.approx(r.trace.loglik[0])
+    # the spectral model passed explicitly is the "ppca" start, bit for bit
+    kw = dict(rank=2, max_iters=300, tol=1e-8, loglik_tol=1e-10)
+    spectral = fit(data, FitConfig(**kw))
+    shared = fit(data, FitConfig(init=ppca_closed_form(data, 2), **kw))
+    assert shared.iterations == spectral.iterations > 1
+    for name in ("loglik", "f_change", "v"):
+        assert np.array_equal(getattr(shared.trace, name), getattr(spectral.trace, name)), name
+    assert np.array_equal(shared.model.F, spectral.model.F)
+    assert np.array_equal(shared.model.v, spectral.model.v)
 
 
 def test_random_start_is_an_explicit_model():
