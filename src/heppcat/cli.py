@@ -41,8 +41,8 @@ _METRIC_FIELDS = ["trial", "sigma2", "method", "metric", "value"]
 
 # the `fit` flags its model JSON echoes, in order
 _FIT_ECHO = (
-    "data", "rank", "method", "max_iters", "tol", "init", "block_rule",
-    "seed", "center", "compress", "v_tol", "loglik_tol",
+    "data", "rank", "method", "max_iters", "tol", "init", "seed",
+    "center", "compress", "v_tol", "loglik_tol",
 )
 
 
@@ -179,7 +179,6 @@ def cmd_fit(args) -> int:
         max_iters=args.max_iters,
         tol=args.tol,
         init=init,
-        block_rule=args.block_rule.replace("-", "_"),
         record_trace=args.trace,
         v_tol=args.v_tol,
         loglik_tol=args.loglik_tol,
@@ -296,9 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     fitp.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     fitp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     fitp.add_argument("--init", default="ppca", choices=["ppca", "random"])
-    fitp.add_argument(
-        "--block-rule", default="alternate", choices=["alternate", "max-improvement"]
-    )
     fitp.add_argument("--seed", type=int, default=0)
     fitp.add_argument("--center", action="store_true", help="subtract each group's sample mean")
     fitp.add_argument("--compress", action="store_true", help="replace wide groups by Gram proxies")

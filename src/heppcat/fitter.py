@@ -1,26 +1,27 @@
 """Alternating maximization driver.
 
 Each outer iteration performs one factor-matrix update followed by one
-noise-variance update per group (``alternate``), or greedily applies
-whichever single-block update gains more likelihood
-(``max_improvement``).  Both blocks never decrease the likelihood, so
-traces are nondecreasing up to rounding.
+noise-variance pass over all groups.  Both blocks never decrease the
+likelihood, so traces are nondecreasing up to rounding.
 
-An iteration computes one SVD, of the updated factors.  Under
-``alternate`` it computes one ``U'Y`` projection, onto the updated
-basis: the coefficient pass sums it into every group's noise-objective
-coefficients, and the next factor update reuses it.  The noise update
-keeps ``U`` and ``lam``, so its model keeps the SVD and the iteration's
-likelihood comes from the same coefficients.  The initial likelihood
-projects onto the starting basis, and the first factor update reuses
-that product.  Under ``max_improvement`` both candidates reuse the
-incoming projection, and the factor candidate's likelihood projects
-onto its own basis.
+An iteration computes one SVD, of the updated factors, and one ``U'Y``
+projection, onto the updated basis: the coefficient pass sums it into
+every group's noise-objective coefficients, and the next factor update
+reuses it.  The noise pass is one :func:`~heppcat.vupdate.update_v` call
+on the all-groups coefficients: ``em`` evaluates its closed form over
+every group at once; ``quad`` and ``cubic`` compute their surrogate
+terms that way and solve each group's polynomial in floats; ``doc`` and
+``rootfind`` compute their brackets that way and loop over the groups
+for the root finding.  The noise update keeps ``U`` and ``lam``, so its
+model keeps the SVD and the iteration's likelihood comes from the same
+coefficients.  The initial likelihood projects onto the starting basis,
+and the first factor update reuses that product.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -50,8 +51,6 @@ ASCENT_SLACK = 1e-8
 
 _log = logging.getLogger("heppcat")
 
-_BLOCK_RULES = ("alternate", "max_improvement")
-
 
 @dataclass
 class FitConfig:
@@ -70,8 +69,6 @@ class FitConfig:
     init : str or FactorModel
         ``"ppca"`` (the pooled spectral closed form) or an explicit
         starting model, such as :func:`init_random`'s.
-    block_rule : str
-        ``"alternate"`` or ``"max_improvement"``.
     record_trace : bool
         Also record the per-iteration noise-variance iterates.
     v_tol : float or None
@@ -92,7 +89,6 @@ class FitConfig:
     max_iters: int = DEFAULT_MAX_ITERS
     tol: float = DEFAULT_TOL
     init: object = "ppca"
-    block_rule: str = "alternate"
     record_trace: bool = True
     v_tol: float | None = None
     loglik_tol: float | None = None
@@ -108,8 +104,6 @@ class FitConfig:
                 raise ValueError(f"{name} must be None or finite and nonnegative")
         if self.v_method not in V_METHODS:
             raise ValueError(f"v_method must be one of {V_METHODS}")
-        if self.block_rule not in _BLOCK_RULES:
-            raise ValueError(f"block_rule must be one of {_BLOCK_RULES}")
         if not isinstance(self.init, FactorModel) and self.init != "ppca":
             raise ValueError("init must be 'ppca' or a FactorModel")
 
@@ -118,9 +112,8 @@ class FitConfig:
 class FitTrace:
     """Per-iteration history; index 0 of ``loglik``/``v`` is the initial model.
 
-    ``seconds[i]`` is the wall time of iteration ``i + 1`` under either
-    block rule: its block updates, the factor change and the likelihood
-    of the updated model.  ``ascent_violations`` counts the iterations
+    ``seconds[i]`` is the wall time of iteration ``i + 1``: its block
+    updates, the factor change and the likelihood of the updated model.  ``ascent_violations`` counts the iterations
     whose likelihood fell by more than ``ASCENT_SLACK * (1 + |previous|)``
     and ``worst_drop`` is the largest such fall (0 when there is none).
     """
@@ -159,22 +152,19 @@ def _initial_model(data: GroupedData, cfg: FitConfig) -> FactorModel:
     return cfg.init
 
 
-def _loglik(data: GroupedData, model: FactorModel, G: np.ndarray) -> float:
-    """The model's log-likelihood, given ``G = U'Y`` on its basis."""
-    return coefficient_loglik(_projected_coefficients(data, model, G), data.counts, model.v)
-
-
 def _v_pass(data: GroupedData, model: FactorModel, G: np.ndarray, method: str):
-    """Update every variance, given ``G = U'Y`` on the model's basis;
-    returns the new model and its coefficients."""
+    """Update every variance in one all-groups call, given ``G = U'Y`` on
+    the model's basis; returns the new model and its coefficients."""
     coefs = _projected_coefficients(data, model, G)
-    v_new = np.array([update_v(method, coefs.group(l), v) for l, v in enumerate(model.v)])
-    return model._with_v(v_new), coefs
+    return model._with_v(update_v(method, coefs, model.v)), coefs
 
 
-def _relative_change(F_new: np.ndarray, F_old: np.ndarray) -> float:
-    denom = float(np.linalg.norm(F_old))
-    num = float(np.linalg.norm(F_new - F_old))
+def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
+    # the Frobenius path of np.linalg.norm, without its dispatch
+    diff = (new - old).ravel(order="K")
+    old = old.ravel(order="K")
+    denom = math.sqrt(old.dot(old))
+    num = math.sqrt(diff.dot(diff))
     if denom == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return num / denom
@@ -185,11 +175,9 @@ def fit(data: GroupedData, cfg: FitConfig) -> FitResult:
 
     The convergence flag is driven by the factor criterion
     ``||F_next - F||_F / ||F||_F <= tol``, plus any extras enabled in
-    the config (``v_tol``, ``loglik_tol``).  Under ``max_improvement``
-    the factor criterion is evaluated on the factor candidate computed
-    each iteration, whether or not it is the applied block.
+    the config (``v_tol``, ``loglik_tol``).
 
-    Both block rules ascend, so a likelihood drop beyond the rounding
+    Both blocks ascend, so a likelihood drop beyond the rounding
     slack is a defect: the fit counts such iterations on its trace and
     warns once through the ``heppcat`` logger.
 
@@ -203,7 +191,7 @@ def fit(data: GroupedData, cfg: FitConfig) -> FitResult:
         raise ValueError("need 1 <= rank < d")
     model = _initial_model(data, cfg)
     G = model.U.T @ data.Y
-    loglik = [_loglik(data, model, G)]
+    loglik = [coefficient_loglik(_projected_coefficients(data, model, G), data.counts, model.v)]
     v_hist = [model.v.copy()] if cfg.record_trace else None
     f_change: list = []
     seconds: list = []
@@ -218,26 +206,16 @@ def fit(data: GroupedData, cfg: FitConfig) -> FitResult:
                 "variance (its samples lie in the factor subspace); the factor update needs v > 0"
             )
         t0 = time.perf_counter()
-        v_prev = model.v
+        F_prev, v_prev = model.F, model.v
         ll_prev = loglik[-1]
         try:
-            if cfg.block_rule == "alternate":
-                F_prev = model.F
-                model = _em_update_F(data, model, G)
-                G = model.U.T @ data.Y
-                model, coefs = _v_pass(data, model, G, cfg.v_method)
-                rel = _relative_change(model.F, F_prev)
-                ll = coefficient_loglik(coefs, data.counts, model.v)
-            else:
-                cand_f = _em_update_F(data, model, G)
-                cand_v, coefs = _v_pass(data, model, G, cfg.v_method)
-                G_f = cand_f.U.T @ data.Y
-                ll_f = _loglik(data, cand_f, G_f)
-                ll_v = coefficient_loglik(coefs, data.counts, cand_v.v)
-                rel = _relative_change(cand_f.F, model.F)
-                model, ll, G = (cand_f, ll_f, G_f) if ll_f >= ll_v else (cand_v, ll_v, G)
+            model = _em_update_F(data, model, G)
+            G = model.U.T @ data.Y
+            model, coefs = _v_pass(data, model, G, cfg.v_method)
         except NumericalError as err:
             raise NumericalError(f"iteration {iterations + 1}: {err}") from err
+        rel = _relative_change(model.F, F_prev)
+        ll = coefficient_loglik(coefs, data.counts, model.v)
         seconds.append(time.perf_counter() - t0)
         iterations += 1
         if ll_prev - ll > ASCENT_SLACK * (1.0 + abs(ll_prev)):

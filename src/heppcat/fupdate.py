@@ -60,7 +60,7 @@ def _em_update_F(data: GroupedData, model: FactorModel, G: np.ndarray) -> Factor
     F = X.T @ Vt
     if not np.isfinite(F).all():
         raise NumericalError("factor update produced non-finite factors")
-    return FactorModel._unchecked(F, model.v.copy())
+    return FactorModel._unchecked(F, model.v.copy(), model.spectral_terms[0])
 
 
 def compress_gram(data: GroupedData) -> GroupedData:

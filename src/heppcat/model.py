@@ -8,7 +8,6 @@ constant and use natural log.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -197,25 +196,32 @@ class FactorModel:
         self._decompose()
 
     @classmethod
-    def _unchecked(cls, F: np.ndarray, v: np.ndarray) -> "FactorModel":
+    def _unchecked(cls, F: np.ndarray, v: np.ndarray, alpha: np.ndarray | None = None) -> "FactorModel":
         """A model of a C-ordered float ``F`` and ``v`` without the checks;
-        the SVD still runs."""
+        the SVD still runs.  ``alpha`` may pass on another model's
+        ``spectral_terms[0]`` when ``F`` has the same shape."""
         out = cls.__new__(cls)
         out.F, out.v = F, v
-        out._decompose()
+        out._decompose(alpha)
         return out
 
-    def _decompose(self) -> None:
+    def _decompose(self, alpha: np.ndarray | None = None) -> None:
         U, s, Vt = np.linalg.svd(self.F, full_matrices=False)
-        self.U, self.Vt = normalize_column_signs(U, Vt)
-        self.lam = s**2
+        # the flip of normalize_column_signs, in place on the fresh factors;
+        # a factor of 1 or -1 changes nothing else, signed zeros included
+        sign = np.where(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0, -1.0, 1.0)
+        U *= sign
+        Vt *= sign[:, None]
+        self.U, self.Vt, self.lam = U, Vt, s**2
         gamma = np.concatenate(([0.0], self.lam))
-        self.spectral_terms = (np.array([self.d - self.k] + [1.0] * self.k), gamma, _zero_set(gamma))
+        if alpha is None:
+            alpha = np.array([self.d - self.k] + [1.0] * self.k)
+        self.spectral_terms = (alpha, gamma, _zero_set(gamma))
 
     def _with_v(self, v: np.ndarray) -> "FactorModel":
         """The same factors and SVD with new variances ``v``, unchecked."""
-        out = copy.copy(self)
-        out.v = v
+        out = FactorModel.__new__(FactorModel)
+        out.__dict__.update(self.__dict__, v=v)
         return out
 
     @property

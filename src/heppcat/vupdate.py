@@ -1,4 +1,4 @@
-"""Per-group noise-variance updates.
+"""Noise-variance updates, for one group or for all groups at once.
 
 Each group's slice of the log-likelihood reduces to the univariate
 objective described by :class:`heppcat.model.VCoefficients`,
@@ -14,7 +14,19 @@ difference-of-concave linearization, quadratic solvable, cubic
 solvable); each surrogate lies below ``L`` and touches it at ``v_t``, so
 every update is guaranteed not to decrease the likelihood.
 
-The scalar loops run on Python floats built once per call: the root
+:func:`update_v` takes either one group's coefficients and a float
+anchor, or every group's (:func:`heppcat.model.group_coefficients`, one
+row of ``beta`` per group) and one anchor per group; the fitter makes one
+such all-groups call per iteration.  Every method runs on the all-groups
+form, and one group is its one-row case.  ``em`` is one closed form over
+the ``(L, k + 1)`` ``beta`` matrix.  ``quad`` and ``cubic`` compute their
+surrogate terms over it and solve each group's polynomial in floats;
+``doc`` and ``rootfind`` compute their brackets over it and loop over
+the groups for the root finding.  The batched expressions are
+bit-identical to one group's: every row they reduce is C-contiguous, so
+numpy reduces it exactly as it reduces a lone group's vector.
+
+The scalar loops run on Python floats built once per group: the root
 finder's first and second derivatives and their enclosures, and the
 difference-of-concave bisection's surrogate slope.  A numpy reduction
 over the ``k + 1`` coefficients costs far more in dispatch than in
@@ -71,21 +83,25 @@ def _check_positive(x, name: str) -> float:
 
 def _bracket_terms(c: VCoefficients):
     """``beta_j / alpha_j`` and ``gamma_j`` where ``alpha_j > 0``: the terms
-    of the rootfind and difference-of-concave upper brackets."""
+    of the rootfind and difference-of-concave upper brackets, with one row
+    of ratios per group for all-groups coefficients."""
     if np.any((c.alpha == 0.0) & (c.beta > 0.0)):
         raise ValueError("bracketing requires alpha > 0 wherever beta > 0")
     active = c.alpha > 0.0
-    return c.beta[active] / c.alpha[active], c.gamma[active]
+    return c.beta.compress(active, axis=-1) / c.alpha[active], c.gamma[active]
 
 
-def noise_floor(c: VCoefficients) -> float:
-    """Smallest variance the updates will return outside the exact-zero branch."""
-    return 1e-12 * max(c.beta_tilde, float(c.beta.max()), 1.0)
+def noise_floor(c: VCoefficients):
+    """Smallest variance the updates will return outside the exact-zero
+    branch; one per group for all-groups coefficients."""
+    return 1e-12 * np.maximum(np.maximum(c.beta_tilde, c.beta.max(axis=-1)), 1.0)
 
 
 def _solvable_terms(c: VCoefficients, v_t) -> tuple:
     """``alpha_tilde, zeta, B_bar, gamma_t, c_bar``: the solvable surrogates'
-    shared pieces at anchor ``v_t``, which is checked finite and positive.
+    shared pieces at anchor ``v_t``, one group's as floats or, for
+    all-groups coefficients and one anchor per group, all but
+    ``alpha_tilde`` as arrays over the groups.
 
     ``alpha_tilde`` totals ``alpha`` over the zero-gamma indices, which
     both surrogates keep exactly.  On the remaining indices: ``zeta`` is
@@ -95,14 +111,19 @@ def _solvable_terms(c: VCoefficients, v_t) -> tuple:
     gamma_j^3``, each of which bounds the second derivative of ``-beta_j /
     (gamma_j + v)`` from below over ``v >= 0``.
     """
-    v_t = _check_positive(v_t, "anchor v_t")
     nz = ~c.zero_set
-    b_nz, g_nz = c.beta[nz], c.gamma[nz]
-    t = g_nz + v_t
-    zeta = float(np.sum(c.alpha[nz] / t))
-    B_bar = c.beta_tilde + float(np.sum(b_nz * v_t**2 / t**2))
-    gamma_t = -zeta + float(np.sum(b_nz / t**2))
-    c_bar = float((-2.0 * b_nz / g_nz**3).sum())
+    # compress keeps the rows C-contiguous (a boolean index would not), so
+    # each row sums as numpy sums one group's vector
+    b_nz, g_nz = c.beta.compress(nz, axis=-1), c.gamma[nz]
+    v = np.asarray(v_t, dtype=float)[..., None]
+    # Python's x**2 (libm pow), which now and then rounds differently from numpy's x*x
+    v_sq = np.array([x**2 for x in v.ravel().tolist()]).reshape(v.shape)
+    t = g_nz + v
+    tt = t * t
+    zeta = (c.alpha[nz] / t).sum(axis=-1)
+    B_bar = c.beta_tilde + (b_nz * v_sq / tt).sum(axis=-1)
+    gamma_t = -zeta + (b_nz / tt).sum(axis=-1)
+    c_bar = (-2.0 * b_nz / g_nz**3).sum(axis=-1)
     return float(c.alpha[c.zero_set].sum()), zeta, B_bar, gamma_t, c_bar
 
 
@@ -295,7 +316,41 @@ def _stationary_points(terms, lo: float, hi: float) -> list:
     return sorted(set(roots))
 
 
-def update_v_rootfind(c: VCoefficients) -> float:
+def _rootfind(c: VCoefficients, v_t=None) -> np.ndarray:
+    """:func:`update_v_rootfind` of all-groups coefficients: the brackets
+    over the ``beta`` matrix, then one isolation per group."""
+    ratio, gamma = _bracket_terms(c)
+    ratios = ratio - gamma
+    v_maxs = ratios.max(axis=1, initial=-np.inf)
+    los = np.maximum(noise_floor(c), ratios.min(axis=1, initial=np.inf))
+    out = []
+    for l, (lo, v_max) in enumerate(zip(los.tolist(), v_maxs.tolist())):
+        g = c.group(l)
+        if g.beta_tilde == 0.0:
+            out.append(0.0)
+            continue
+        terms = _float_terms(g)
+        candidates: list = []
+        if v_max > lo:
+            candidates.extend(_stationary_points(terms, lo, v_max))
+        else:
+            # all per-term ratios coincide: the unique stationary point is v_max
+            candidates.append(v_max)
+        if _derivative(terms, lo) < 0.0:
+            # maximizer sits at or below the representable floor; clamp there
+            candidates.append(lo)
+        if not candidates:
+            raise NumericalError(
+                f"no stationary point found in [{lo!r}, {v_max!r}] despite beta_tilde > 0"
+            )
+        if len(candidates) > 1:
+            values = [univariate_objective(g, v) for v in candidates]
+            candidates = [candidates[int(np.argmax(values))]]
+        out.append(candidates[0])
+    return np.array(out)
+
+
+def update_v_rootfind(c: VCoefficients):
     """Global maximizer of the univariate objective.
 
     Returns 0 on the exact zero-residual branch (``beta_tilde == 0``,
@@ -303,47 +358,33 @@ def update_v_rootfind(c: VCoefficients) -> float:
     nonnegative stationary point lies between the extremes of
     ``beta_j / alpha_j - gamma_j``; all of them are isolated and the
     argmax of the objective is returned; a lone candidate is returned
-    without evaluating the objective.
+    without evaluating the objective.  Takes one group's coefficients or
+    all groups' (see :func:`update_v`).
     """
-    if c.beta_tilde == 0.0:
-        return 0.0
-    ratio, gamma = _bracket_terms(c)
-    ratios = ratio - gamma
-    v_max = float(ratios.max())
-    lo = max(noise_floor(c), float(ratios.min()))
-    terms = _float_terms(c)
-    candidates: list = []
-    if v_max > lo:
-        candidates.extend(_stationary_points(terms, lo, v_max))
-    else:
-        # all per-term ratios coincide: the unique stationary point is v_max
-        candidates.append(v_max)
-    if _derivative(terms, lo) < 0.0:
-        # maximizer sits at or below the representable floor; clamp there
-        candidates.append(lo)
-    if not candidates:
-        raise NumericalError(
-            f"no stationary point found in [{lo!r}, {v_max!r}] despite beta_tilde > 0"
-        )
-    if len(candidates) == 1:
-        return float(candidates[0])
-    values = [univariate_objective(c, v) for v in candidates]
-    return float(candidates[int(np.argmax(values))])
+    return update_v("rootfind", c)
 
 
 # ---------------------------------------------------------------------------
 # anchored surrogate updates
 
 
-def _em_rho(c: VCoefficients, v_t: float) -> float:
-    w = v_t / (c.gamma + v_t)
+def _em_rho(c: VCoefficients, v_t):
+    """``rho(v_t)`` of the EM update: a float for one group's coefficients
+    and a float anchor, an array for all groups' and one anchor each."""
+    v = np.asarray(v_t, dtype=float)
+    col = v[..., None]
+    w = col / (c.gamma + col)
     lam = c.gamma[1:]
-    return float(np.sum(w**2 * c.beta) + v_t * np.sum(lam / (lam + v_t)))
+    return (w**2 * c.beta).sum(axis=-1) + v * (lam / (lam + col)).sum(axis=-1)
 
 
-def update_v_em(c: VCoefficients, v_t: float) -> float:
-    """Expectation-maximization update ``rho(v_t) / d``."""
-    return _em_rho(c, _check_positive(v_t, "anchor v_t")) / c.ambient_dim
+def _em(c: VCoefficients, v: np.ndarray) -> np.ndarray:
+    return _em_rho(c, v) / c.ambient_dim
+
+
+def update_v_em(c: VCoefficients, v_t):
+    """Expectation-maximization update ``rho(v_t) / d`` (see :func:`update_v`)."""
+    return update_v("em", c, v_t)
 
 
 def _inverse_square_sum(pairs, v: float) -> float:
@@ -355,7 +396,38 @@ def _inverse_square_sum(pairs, v: float) -> float:
     return s
 
 
-def update_v_doc(c: VCoefficients, v_t: float) -> float:
+def _doc(c: VCoefficients, v: np.ndarray) -> np.ndarray:
+    """:func:`update_v_doc` of all-groups coefficients: slopes and brackets
+    over the ``beta`` matrix, then one bisection per group."""
+    ratio, gamma = _bracket_terms(c)
+    zetas = (c.alpha / (c.gamma + v[:, None])).sum(axis=1)
+    his = (np.sqrt(ratio * (gamma + v[:, None])) - gamma).max(axis=1, initial=-np.inf)
+    los = noise_floor(c)
+    nz = ~c.zero_set
+    gammas = c.gamma.tolist()
+    out = []
+    for l, (betas, beta_tilde, v_t, zeta_full, lo, hi) in enumerate(
+        zip(c.beta.tolist(), c.beta_tilde.tolist(), v.tolist(), zetas.tolist(), los.tolist(), his.tolist())
+    ):
+        if beta_tilde == 0.0 and float(np.sum(c.beta[l, nz] / c.gamma[nz] ** 2)) <= zeta_full:
+            out.append(0.0)
+            continue
+        pairs = tuple(zip(betas, gammas))
+        fdot = lambda x: _inverse_square_sum(pairs, x) - zeta_full
+        f_lo = fdot(lo)
+        if f_lo <= 0.0:
+            if f_lo == 0.0:
+                out.append(lo)
+                continue
+            raise NumericalError("difference-of-concave bracket has no sign change at its floor")
+        f_hi = fdot(hi)
+        if f_hi > 0.0:
+            raise NumericalError("difference-of-concave bracket upper endpoint is not past the zero")
+        out.append(_bisect_root(fdot, lo, hi, f_lo, f_hi, rtol=0.0, atol=_DOC_ATOL * (1.0 + v_t)))
+    return np.array(out)
+
+
+def update_v_doc(c: VCoefficients, v_t):
     """Difference-of-concave update: linearize the logs, keep the rest.
 
     The surrogate derivative ``-sum_j alpha_j/(gamma_j + v_t) +
@@ -363,30 +435,10 @@ def update_v_doc(c: VCoefficients, v_t: float) -> float:
     returns 0 when it is nonpositive at ``0+`` and otherwise bisects for
     the unique positive zero.  The ~40 slopes the bisection evaluates are
     float sums over ``(beta_j, gamma_j)`` pairs, bit-identical to the
-    numpy expression for ``k <= 6`` (see the module docstring).
+    numpy expression for ``k <= 6`` (see the module docstring).  Takes one
+    group's coefficients or all groups' (see :func:`update_v`).
     """
-    v_t = _check_positive(v_t, "anchor v_t")
-    ratio, gamma = _bracket_terms(c)
-    zeta_full = float(np.sum(c.alpha / (c.gamma + v_t)))
-    if c.beta_tilde == 0.0:
-        nz = ~c.zero_set
-        if float(np.sum(c.beta[nz] / c.gamma[nz] ** 2)) <= zeta_full:
-            return 0.0
-
-    pairs = tuple(zip(c.beta.tolist(), c.gamma.tolist()))
-    fdot = lambda v: _inverse_square_sum(pairs, v) - zeta_full
-
-    hi = float(np.max(np.sqrt(ratio * (gamma + v_t)) - gamma))
-    lo = noise_floor(c)
-    f_lo = fdot(lo)
-    if f_lo <= 0.0:
-        if f_lo == 0.0:
-            return lo
-        raise NumericalError("difference-of-concave bracket has no sign change at its floor")
-    f_hi = fdot(hi)
-    if f_hi > 0.0:
-        raise NumericalError("difference-of-concave bracket upper endpoint is not past the zero")
-    return _bisect_root(fdot, lo, hi, f_lo, f_hi, rtol=0.0, atol=_DOC_ATOL * (1.0 + v_t))
+    return update_v("doc", c, v_t)
 
 
 def _positive_quadratic_root(zeta: float, alpha: float, rhs: float) -> float:
@@ -400,11 +452,16 @@ def _positive_quadratic_root(zeta: float, alpha: float, rhs: float) -> float:
     return 2.0 * rhs / (alpha + math.sqrt(alpha * alpha + 4.0 * zeta * rhs))
 
 
-def update_v_quadratic(c: VCoefficients, v_t: float) -> float:
+def _quad(c: VCoefficients, v: np.ndarray) -> np.ndarray:
+    alpha_tilde, zetas, B_bars, _, _ = _solvable_terms(c, v)
+    roots = [_positive_quadratic_root(z, alpha_tilde, b) for z, b in zip(zetas.tolist(), B_bars.tolist())]
+    return np.array(roots)
+
+
+def update_v_quadratic(c: VCoefficients, v_t):
     """Quadratic solvable update: the surrogate's stationarity condition
-    is a quadratic with exactly one positive root."""
-    alpha_tilde, zeta, B_bar, _, _ = _solvable_terms(c, v_t)
-    return _positive_quadratic_root(zeta, alpha_tilde, B_bar)
+    is a quadratic with exactly one positive root (see :func:`update_v`)."""
+    return update_v("quad", c, v_t)
 
 
 def _real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> list:
@@ -455,7 +512,38 @@ def _real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> list:
     return out
 
 
-def update_v_cubic(c: VCoefficients, v_t: float) -> float:
+def _cubic(c: VCoefficients, v: np.ndarray) -> np.ndarray:
+    """:func:`update_v_cubic` of all-groups coefficients: the surrogate
+    terms over the ``beta`` matrix, then one cubic per group."""
+    alpha_tilde, zetas, _, gamma_ts, c_bars = _solvable_terms(c, v)
+    out = []
+    for l, (v_t, beta_tilde, zeta, gamma_t, c_bar) in enumerate(
+        zip(v.tolist(), c.beta_tilde.tolist(), zetas.tolist(), gamma_ts.tolist(), c_bars.tolist())
+    ):
+        if beta_tilde == 0.0:
+            # the exactly-kept -alpha_tilde ln v term sends the surrogate to
+            # +inf at 0, mirroring the objective's zero-residual branch
+            out.append(0.0)
+            continue
+        if c_bar == 0.0:
+            out.append(_positive_quadratic_root(zeta, alpha_tilde, beta_tilde))
+            continue
+        roots = _real_cubic_roots(c_bar, gamma_t - c_bar * v_t, -alpha_tilde, beta_tilde)
+        roots = [r for r in roots if r > 0.0]
+        if not roots:
+            raise NumericalError(
+                "cubic surrogate has no positive stationary point "
+                f"(coefficients: c_bar={c_bar!r}, gamma_t={gamma_t!r}, "
+                f"alpha_tilde={alpha_tilde!r}, beta_tilde={beta_tilde!r}, v_t={v_t!r})"
+            )
+        if len(roots) > 1:
+            values = [eval_minorizer("cubic", c.group(l), r, v_t) for r in roots]
+            roots = [roots[int(np.argmax(values))]]
+        out.append(roots[0])
+    return np.array(out)
+
+
+def update_v_cubic(c: VCoefficients, v_t):
     """Cubic solvable update: maximum-curvature quadratic expansion of the
     nonzero-gamma terms makes stationarity a cubic in ``v``.
 
@@ -464,44 +552,46 @@ def update_v_cubic(c: VCoefficients, v_t: float) -> float:
     without evaluating the surrogate.  Ranking alone suffices: on this
     branch (``beta_tilde > 0``, ``c_bar < 0``) the surrogate falls to
     ``-inf`` both at ``0+`` and at ``+inf``, so its maximum is a positive
-    stationary point, which the ranking finds.
+    stationary point, which the ranking finds.  Takes one group's
+    coefficients or all groups' (see :func:`update_v`).
     """
-    alpha_tilde, zeta, _, gamma_t, c_bar = _solvable_terms(c, v_t)
-    if c.beta_tilde == 0.0:
-        # the exactly-kept -alpha_tilde ln v term sends the surrogate to
-        # +inf at 0, mirroring the objective's zero-residual branch
-        return 0.0
-    if c_bar == 0.0:
-        return _positive_quadratic_root(zeta, alpha_tilde, c.beta_tilde)
-    roots = _real_cubic_roots(c_bar, gamma_t - c_bar * v_t, -alpha_tilde, c.beta_tilde)
-    roots = [r for r in roots if r > 0.0]
-    if not roots:
-        raise NumericalError(
-            "cubic surrogate has no positive stationary point "
-            f"(coefficients: c_bar={c_bar!r}, gamma_t={gamma_t!r}, "
-            f"alpha_tilde={alpha_tilde!r}, beta_tilde={c.beta_tilde!r}, v_t={v_t!r})"
-        )
-    if len(roots) == 1:
-        return float(roots[0])
-    values = [eval_minorizer("cubic", c, r, v_t) for r in roots]
-    return float(roots[int(np.argmax(values))])
+    return update_v("cubic", c, v_t)
 
 
 _UPDATES = {
-    "rootfind": lambda c, v_t: update_v_rootfind(c),
-    "em": update_v_em,
-    "doc": update_v_doc,
-    "quad": update_v_quadratic,
-    "cubic": update_v_cubic,
+    "rootfind": _rootfind,
+    "em": _em,
+    "doc": _doc,
+    "quad": _quad,
+    "cubic": _cubic,
 }
 V_METHODS = tuple(_UPDATES)
 
 
-def update_v(method: str, c: VCoefficients, v_t: float | None = None) -> float:
-    """Dispatch a noise-variance update by method name."""
+def update_v(method: str, c: VCoefficients, v_t=None):
+    """Dispatch a noise-variance update by method name.
+
+    ``c`` holds one group's coefficients and ``v_t`` is a float anchor,
+    and the new variance comes back as a float; or ``c`` holds every
+    group's, one row of ``beta`` per group as
+    :func:`~heppcat.model.group_coefficients` builds them, ``v_t`` holds
+    one anchor per group, and the new variances come back as an array.
+    One group is the one-row case of the same computation.  ``rootfind``
+    takes no anchor.
+    """
     if method not in _UPDATES:
         raise ValueError(f"unknown v update method: {method!r}")
-    return _UPDATES[method](c, v_t)
+    one = c.beta.ndim == 1
+    if one:
+        c = VCoefficients._unchecked(c.alpha, c.beta[None], c.gamma, c.zero_set, np.array([c.beta_tilde]))
+    v = None
+    if method != "rootfind":
+        v = np.array([_check_positive(v_t, "anchor v_t")]) if one else np.asarray(v_t, dtype=float)
+        # a NaN fails the first test
+        if v.shape != c.beta_tilde.shape or not (v.min() > 0.0 and v.max() < math.inf):
+            raise ValueError("anchor v_t must be finite and positive, one per group")
+    v_new = _UPDATES[method](c, v)
+    return float(v_new[0]) if one else v_new
 
 
 def eval_minorizer(kind: str, c: VCoefficients, v: float, v_t: float) -> float:

@@ -363,14 +363,14 @@ def test_fit_config_echo_with_every_flag_set(tmp_path):
     code = run([
         "fit", "--data", sim / "data.csv", "--rank", 1, "--method", "cubic",
         "--max-iters", 7, "--tol", "1e-9", "--init", "random",
-        "--block-rule", "max-improvement", "--seed", 4, "--center", "--compress",
+        "--seed", 4, "--center", "--compress",
         "--trace", "--v-tol", "1e-5", "--loglik-tol", "1e-11", "--out", path,
     ])
     assert code in (0, 3)
     rec = read_json(path)
     assert rec["config_echo"] == {
         "data": str(sim / "data.csv"), "rank": 1, "method": "cubic", "max_iters": 7,
-        "tol": 1e-9, "init": "random", "block_rule": "max-improvement", "seed": 4,
+        "tol": 1e-9, "init": "random", "seed": 4,
         "center": True, "compress": True, "v_tol": 1e-5, "loglik_tol": 1e-11,
     }
     # the same fit through the library: the flags reached the config
@@ -378,7 +378,7 @@ def test_fit_config_echo_with_every_flag_set(tmp_path):
     data = compress_gram(GroupedData([B - B.mean(axis=1, keepdims=True) for B in data.blocks]))
     cfg = FitConfig(rank=1, v_method="cubic", max_iters=7, tol=1e-9,
                     init=init_random(data.d, 1, data.L, 4),
-                    block_rule="max_improvement", v_tol=1e-5, loglik_tol=1e-11)
+                    v_tol=1e-5, loglik_tol=1e-11)
     res = fit(data, cfg)
     assert rec["v"] == res.model.v.tolist()
     assert rec["trace"]["loglik"] == res.trace.loglik.tolist()

@@ -90,13 +90,12 @@ def test_trace_seconds_include_the_likelihood(monkeypatch):
 
     monkeypatch.setattr(fitmod, "coefficient_loglik", slow)
     data, _ = two_group_data()
-    for rule in ("alternate", "max_improvement"):
-        r = fit(data, FitConfig(rank=2, max_iters=5, tol=0.0, block_rule=rule))
-        assert len(r.trace.seconds) == 5
-        assert np.all(r.trace.seconds >= 0.002), rule
+    r = fit(data, FitConfig(rank=2, max_iters=5, tol=0.0))
+    assert len(r.trace.seconds) == 5
+    assert np.all(r.trace.seconds >= 0.002)
 
 
-@pytest.mark.parametrize("rule", ["alternate", "max_improvement"])
+@pytest.mark.parametrize("rule", ["alternate"])
 def test_one_svd_per_iteration(monkeypatch, rule):
     # the spectral start's model and one updated factor matrix per
     # iteration; the noise update keeps its model's SVD
@@ -109,16 +108,15 @@ def test_one_svd_per_iteration(monkeypatch, rule):
 
     data, _ = two_group_data()
     monkeypatch.setattr(np.linalg, "svd", counting)
-    fit(data, FitConfig(rank=2, max_iters=5, tol=0.0, block_rule=rule))
+    fit(data, FitConfig(rank=2, max_iters=5, tol=0.0))
     assert len(calls) == 1 + 5
 
 
-@pytest.mark.parametrize("rule", ["alternate", "max_improvement"])
+@pytest.mark.parametrize("rule", ["alternate"])
 def test_one_projection_per_iteration(rule):
     # k x M products U'Y: the initial likelihood's, which the first
     # factor update reuses, and one per iteration on the updated basis,
-    # which the next factor update reuses (under max_improvement, the
-    # factor candidate's; both candidates reuse the incoming one)
+    # which the next factor update reuses
     shapes = []
 
     class CountingY(np.ndarray):
@@ -130,18 +128,18 @@ def test_one_projection_per_iteration(rule):
 
     data, _ = two_group_data()
     data.Y = data.Y.view(CountingY)
-    fit(data, FitConfig(rank=2, max_iters=5, tol=0.0, block_rule=rule))
+    fit(data, FitConfig(rank=2, max_iters=5, tol=0.0))
     assert shapes == [(2, data.d)] * (1 + 5)
 
 
-@pytest.mark.parametrize("rule", ["alternate", "max_improvement"])
+@pytest.mark.parametrize("rule", ["alternate"])
 @pytest.mark.parametrize("compress", [False, True])
 def test_trace_loglik_is_the_models_likelihood(rule, compress):
     data, _ = two_group_data(sizes=(60, 8), v=(0.4, 2.5))
     if compress:
         data = compress_gram(data)
         assert data.blocks[0].shape[1] < data.group_sizes[0]
-    res = fit(data, FitConfig(rank=2, v_method="cubic", max_iters=30, tol=0.0, block_rule=rule))
+    res = fit(data, FitConfig(rank=2, v_method="cubic", max_iters=30, tol=0.0))
     assert res.trace.loglik[-1] == log_likelihood_parts(data, res.model)
 
 
@@ -172,18 +170,6 @@ def test_single_group_matches_homoscedastic_closed_form():
     got = r.model.F @ r.model.F.T
     want = mle.F @ mle.F.T
     assert np.linalg.norm(got - want) <= 1e-4 * (1.0 + np.linalg.norm(want))
-
-
-def test_max_improvement_ascends_and_reaches_alternate_value():
-    data, _ = two_group_data()
-    a = fit(
-        data,
-        FitConfig(rank=2, block_rule="max_improvement", max_iters=2000, tol=1e-10, v_tol=1e-10),
-    )
-    b = fit(data, FitConfig(rank=2, block_rule="alternate", max_iters=2000, tol=1e-10, v_tol=1e-10))
-    ll = a.trace.loglik
-    assert np.all(np.diff(ll) >= -1e-9 * (1.0 + np.abs(ll[:-1])))
-    assert a.trace.loglik[-1] == pytest.approx(b.trace.loglik[-1], rel=1e-6)
 
 
 def test_explicit_and_random_inits():
@@ -235,8 +221,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FitConfig(rank=1, tol=-1.0)
     with pytest.raises(ValueError):
-        FitConfig(rank=1, block_rule="sweep")
-    with pytest.raises(ValueError):
         FitConfig(rank=1, init="zeros")
     with pytest.raises(ValueError):
         FitConfig(rank=1, v_tol=-1e-3)
@@ -259,10 +243,13 @@ def test_ascent_monitor_counts_a_forced_drop(monkeypatch, caplog):
     calls = []
 
     def dropping(method, c, v_t=None):
-        # the second group's update in iteration 3 overshoots its optimum tenfold
+        # one all-groups call per iteration; in iteration 3 the second
+        # group's update overshoots its optimum tenfold
         calls.append(1)
         v_new = real(method, c, v_t)
-        return 10.0 * v_new if len(calls) == 2 * 3 else v_new
+        if len(calls) == 3:
+            v_new[1] *= 10.0
+        return v_new
 
     monkeypatch.setattr(fitter, "update_v", dropping)
     with caplog.at_level(logging.WARNING, logger="heppcat"):
@@ -275,12 +262,12 @@ def test_ascent_monitor_counts_a_forced_drop(monkeypatch, caplog):
     assert len(warnings) == 1 and "1 of 8 iterations" in warnings[0].getMessage()
 
 
-@pytest.mark.parametrize("rule", ["alternate", "max_improvement"])
+@pytest.mark.parametrize("rule", ["alternate"])
 def test_ascent_monitor_silent_on_normal_fits(rule, caplog):
     data, _ = two_group_data()
     with caplog.at_level(logging.WARNING, logger="heppcat"):
         for method in V_METHODS:
-            res = fit(data, FitConfig(rank=2, v_method=method, max_iters=60, tol=0.0, block_rule=rule))
+            res = fit(data, FitConfig(rank=2, v_method=method, max_iters=60, tol=0.0))
             assert (res.trace.ascent_violations, res.trace.worst_drop) == (0, 0.0)
     assert not [r for r in caplog.records if r.name == "heppcat"]
 

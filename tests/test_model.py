@@ -178,6 +178,33 @@ def test_normalize_column_signs_preserves_product(rng):
     assert np.all(U2[np.abs(U2).argmax(axis=0), np.arange(3)] > 0)
 
 
+def test_model_svd_flips_as_normalize_column_signs(monkeypatch, rng):
+    # the model flips its fresh SVD factors in place; they must come out
+    # as normalize_column_signs' flipped copies, byte for byte: a tie for
+    # the largest magnitude (first index wins), a column to flip, a zero
+    # column and signed zeros
+    U = np.array([
+        [0.5, -0.5, 0.0, 0.1],
+        [-0.5, 0.5, -0.0, -0.9],
+        [0.1, 0.0, 0.0, 0.3],
+        [0.0, -0.0, 0.0, -0.0],
+        [0.2, 0.1, -0.0, 0.2],
+    ])
+    Vt = np.array([[0.6, -0.0, 0.8, 0.0], [0.0, -1.0, 0.0, 0.0], [-0.8, 0.0, 0.6, -0.0], [0.0, 0.0, -0.0, 1.0]])
+    s = np.array([3.0, 2.0, 1.0, 0.0])
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda F, full_matrices: (U.copy(), s.copy(), Vt.copy()))
+    model = FactorModel(np.ones((5, 4)), [1.0])
+    want_U, want_Vt = normalize_column_signs(U, Vt)
+    assert model.U.tobytes() == want_U.tobytes() and model.Vt.tobytes() == want_Vt.tobytes()
+    assert np.signbit(model.U[1]).tolist() == [True, True, True, False]
+    monkeypatch.setattr(np.linalg, "svd", real)
+    for F in (rng.standard_normal((7, 3)), np.asfortranarray(rng.standard_normal((9, 2)))):
+        model = FactorModel(F, [1.0, 2.0])
+        want_U, want_Vt = normalize_column_signs(*real(model.F, full_matrices=False)[::2])
+        assert model.U.tobytes() == want_U.tobytes() and model.Vt.tobytes() == want_Vt.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # log-likelihood oracles
 

@@ -26,6 +26,10 @@ from heppcat import (
 )
 from heppcat import fitter
 from heppcat import vupdate
+from heppcat.benchmark import _split_into_blocks, preset_truth
+from heppcat.fupdate import compress_gram
+from heppcat.model import group_coefficients
+from heppcat.simgen import generate
 from heppcat.vupdate import (
     _BISECT_RTOL,
     _DOC_ATOL,
@@ -37,7 +41,6 @@ from heppcat.vupdate import (
     _bisect_root,
     _derivative,
     _derivative_range,
-    _em_rho,
     _float_terms,
     _inverse_square_sum,
     _newton_polish,
@@ -532,7 +535,7 @@ def _reference_solvable_terms(c, v_t):
 def _reference_eval_minorizer(kind, c, v, v_t):
     def raw(x):
         if kind == "em":
-            return -c.ambient_dim * math.log(x) - _em_rho(c, v_t) / x
+            return -c.ambient_dim * math.log(x) - _reference_em_rho(c, v_t) / x
         if kind == "doc":
             t = c.gamma + x
             return float(-np.sum(c.alpha * x / (c.gamma + v_t)) - np.sum(c.beta / t))
@@ -583,9 +586,15 @@ def _reference_quad(c, v_t):
     return _positive_quadratic_root(zeta, alpha_tilde, B_bar)
 
 
+def _reference_em_rho(c, v_t):
+    w = v_t / (c.gamma + v_t)
+    lam = c.gamma[1:]
+    return float(np.sum(w**2 * c.beta) + v_t * np.sum(lam / (lam + v_t)))
+
+
 _REFERENCE_UPDATES = {
     "rootfind": _reference_rootfind,
-    "em": lambda c, v_t: _em_rho(c, v_t) / c.ambient_dim,
+    "em": lambda c, v_t: _reference_em_rho(c, v_t) / c.ambient_dim,
     "doc": _reference_doc,
     "quad": _reference_quad,
     "cubic": _reference_cubic,
@@ -734,6 +743,18 @@ def test_updates_and_minorizers_match_numpy_reference_exactly():
             assert eval_minorizer(kind, c, v_t, v_t) == univariate_objective(c, v_t)
 
 
+def test_solvable_terms_square_the_anchor_with_pow():
+    # Python's v**2 (libm pow) and numpy's v*v differ in the last bit now
+    # and then; the surrogate terms use the former, as the references do
+    rng = np.random.default_rng(11)
+    v = 10 ** rng.uniform(-2.0, 2.0, 20_000)
+    anchors = [x for x, y in zip(v.tolist(), (v * v).tolist()) if x**2 != y][:20]
+    assert len(anchors) == 20
+    for v_t in anchors:
+        c = random_coefficients(rng, zero_energy_prob=0.0)
+        assert _solvable_terms(c, v_t)[2] == _reference_solvable_terms(c, v_t)[2]
+
+
 def test_cubic_update_ranks_its_positive_roots():
     # sets whose cubic has several positive roots: the update returns the
     # one with the largest surrogate value, where the surrogate's
@@ -778,8 +799,58 @@ def test_fit_traces_match_numpy_reference_updates(monkeypatch):
         cfg = FitConfig(rank=3, v_method=method, max_iters=25, tol=0.0)
         new = fit(data, cfg)
         with monkeypatch.context() as m:
-            m.setattr(fitter, "update_v", lambda name, c, v_t=None: _REFERENCE_UPDATES[name](c, v_t))
+            # the fitter's one all-groups call, made group by group
+            m.setattr(
+                fitter,
+                "update_v",
+                lambda name, c, v_t: np.array([_REFERENCE_UPDATES[name](c.group(l), v) for l, v in enumerate(v_t)]),
+            )
             ref = fit(data, cfg)
         assert np.array_equal(new.trace.loglik, ref.trace.loglik), method
         assert np.array_equal(new.trace.v, ref.trace.v), method
         assert np.array_equal(new.model.F, ref.model.F), method
+
+
+def _all_groups_cases():
+    data = generate(preset_truth(2.0, seed=0), seed=0)
+    rng = np.random.default_rng(8)
+    zero = GroupedData([rng.standard_normal((10, 50)), np.zeros((10, 5))])
+    return {
+        # fig3's Gram roots, as the harness fits them (L=2)
+        "fig3": (compress_gram(data), 3),
+        # fig6's one-sample groups (L=1000)
+        "fig6-block1": (_split_into_blocks(data, 1), 3),
+        # rows of 8 nonzero-gamma entries, which numpy sums pairwise
+        "k8": (GroupedData.from_samples(np.random.default_rng(2).standard_normal((20, 120)), [40, 50, 30]), 8),
+        # a group with no residual energy takes the exact-zero branches
+        "zero-residual": (zero, 2),
+    }
+
+
+@pytest.mark.parametrize("case", ["fig3", "fig6-block1", "k8", "zero-residual"])
+def test_all_groups_update_equals_per_group_updates(case):
+    data, k = _all_groups_cases()[case]
+    # anchors that differ from group to group: a few em iterations in
+    model = fit(data, FitConfig(rank=k, max_iters=3, tol=0.0)).model
+    if case == "zero-residual":
+        model = model._with_v(np.array([0.7, 1.3]))
+    coefs = group_coefficients(data, model)
+    # the batched surrogate terms: each row reduces as one group's vector
+    terms = _solvable_terms(coefs, model.v)
+    for l, v_t in enumerate(model.v.tolist()):
+        assert [t[l] for t in terms[1:]] == list(_solvable_terms(coefs.group(l), v_t)[1:])
+    for method in V_METHODS:
+        got = update_v(method, coefs, model.v)
+        want = [update_v(method, coefs.group(l), v) for l, v in enumerate(model.v.tolist())]
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want), method
+    if case == "zero-residual":
+        assert got[1] == 0.0
+
+
+def test_all_groups_update_rejects_bad_anchors():
+    data, k = _all_groups_cases()["fig3"]
+    model = fit(data, FitConfig(rank=k, max_iters=1)).model
+    coefs = group_coefficients(data, model)
+    for v_t in ([1.0], [1.0, 0.0], [1.0, np.inf], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="anchor"):
+            update_v("em", coefs, v_t)
