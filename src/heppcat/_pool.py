@@ -13,12 +13,14 @@ when it has fewer workers than the call can use or more than
 HEPPCAT_THREADS allows; a call that raises shuts it down, and the next
 one starts a fresh pool.  Workers are forked when the pool first runs a
 task, so they do not see a function patched into heppcat after that.
-They exit with the process.  A task that itself calls ``_map_tasks``
+The pool is shut down at interpreter exit, before module teardown, so
+its workers exit with the process.  A task that itself calls ``_map_tasks``
 runs that call serially in its worker, so pools never nest.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import threading
 
@@ -85,6 +87,18 @@ def _drop_pool(pool: ProcessPoolExecutor) -> None:
         if _pool is not None and _pool[2] is pool:
             _pool = None
     pool.shutdown(cancel_futures=True)
+
+
+@atexit.register
+def _shutdown_at_exit() -> None:
+    """Shut the cached pool down while every module is still whole; left
+    to ``concurrent.futures``, it can be collected after module teardown
+    has begun, which prints an ignored ``AttributeError``."""
+    global _pool
+    with _pool_lock:
+        cached, _pool = _pool, None
+    if cached is not None and cached[0] == os.getpid():
+        cached[2].shutdown()
 
 
 def _map_tasks(fn, tasks):

@@ -391,6 +391,26 @@ def test_workers_exit_with_their_process():
     assert not any(_alive(pid) for pid in pids)
 
 
+def test_pooled_process_exits_with_clean_stderr():
+    # a hypothesis run keeps heppcat's modules alive into interpreter
+    # teardown, as a pytest session does; a pool still cached then was
+    # collected after concurrent.futures had lost its globals, which
+    # printed an ignored AttributeError at exit
+    src = str(Path(benchmark.__file__).parents[1])
+    code = (
+        "from hypothesis import given, strategies as st\n"
+        "from heppcat import benchmark\n"
+        "given(st.integers())(lambda x: None)()\n"
+        "benchmark.run_benchmark('fig3', trials=2, sigma_grid=(0.5,), methods=('ppca-full',))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src, "HEPPCAT_THREADS": "2"},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stderr == ""
+
+
 def test_pinned_finds_libraries_once(monkeypatch):
     with _blas.pinned(1):
         pass
@@ -430,6 +450,15 @@ def test_fig6_metric_names_and_clustering(no_compression):
     for block in FIG6_BLOCK_SIZES:
         assert abs(np.median(by_metric[f"v_hat_block{block}_true1"]) - 1.0) < 0.25
         assert abs(np.median(by_metric[f"v_hat_block{block}_true4"]) - 4.0) < 1.0
+
+
+def test_fig6_harness_fits_converge(monkeypatch, caplog):
+    # one-sample groups (L=1000) included; in-process, so that the
+    # capped-fit warnings reach caplog
+    monkeypatch.setenv("HEPPCAT_THREADS", "1")
+    with caplog.at_level(logging.WARNING, logger="heppcat"):
+        run_benchmark("fig6-blocks", trials=5, seed=0)
+    assert not [r.getMessage() for r in caplog.records if r.name == "heppcat"]
 
 
 def test_landscape_rows_and_oracle_start():

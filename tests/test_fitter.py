@@ -19,6 +19,7 @@ from heppcat import (
     generate,
     haar_orthonormal,
     init_random,
+    log_likelihood_direct,
     log_likelihood_parts,
     ppca_closed_form,
 )
@@ -226,6 +227,8 @@ def test_config_validation():
         FitConfig(rank=1, v_tol=-1e-3)
     with pytest.raises(ValueError):
         FitConfig(rank=1, loglik_tol=np.inf)
+    with pytest.raises(ValueError, match="accel must be None or 'squarem'"):
+        FitConfig(rank=1, accel="bogus")
 
 
 def test_fit_rejects_bad_shapes():
@@ -315,3 +318,73 @@ def test_fit_respects_scaling_and_group_order(method):
     assert _rel_err(r.trace.v[:, ::-1], base.trace.v) <= 1e-10
     assert _rel_err(r.model.F @ r.model.F.T, base.model.F @ base.model.F.T) <= 1e-10
     assert _rel_err(r.trace.loglik, base.trace.loglik) <= 1e-10
+
+
+def test_squarem_fits_ascend_on_gate_1_datasets():
+    sigmas = (0.5, 1.0, 2.0, 3.0)
+    datasets = [generate(preset_truth(sigmas[t % 4], 0, t), 0, t) for t in range(50)]
+    for method in V_METHODS:
+        for data in datasets:
+            res = fit(data, FitConfig(rank=3, v_method=method, max_iters=24, tol=0.0, accel="squarem"))
+            ll = res.trace.loglik
+            assert np.all(np.diff(ll) >= -fitter.ASCENT_SLACK * (1.0 + np.abs(ll[:-1]))), method
+            assert res.trace.ascent_violations == 0
+
+
+def test_squarem_rejects_a_lower_extrapolation():
+    # on this dataset one extrapolated point falls below its cycle's
+    # second map step; the cycle goes on from that step and still ascends
+    data = compress_gram(generate(preset_truth(2.0, seed=0), seed=0))
+    res = fit(data, FitConfig(rank=3, **_FIT_KW))
+    assert res.converged and res.trace.rejected_extrapolations > 0
+    assert res.trace.ascent_violations == 0
+    plain = fit(data, FitConfig(rank=3, **dict(_FIT_KW, accel=None)))
+    assert plain.trace.rejected_extrapolations == 0
+    assert res.iterations < plain.iterations
+
+
+def test_squarem_rejects_a_nonpositive_variance(monkeypatch):
+    # v runs 1, 0.5, 0.2 with F fixed: the step length is 2.5 and the
+    # extrapolated variance -0.25, so the point is rejected
+    data, _ = two_group_data()
+    F = ppca_closed_form(data, 2).F
+    points = [(FactorModel(F, [v, 1.0]), None, -float(i)) for i, v in enumerate((1.0, 0.5, 0.2))]
+    assert fitter._extrapolate(data, *points, 1.0) is None
+    # a rejected cycle goes on from its second map step, so a fit that
+    # rejects every point walks the plain path
+    monkeypatch.setattr(fitter, "_extrapolate", lambda *args: None)
+    res = fit(data, FitConfig(rank=2, max_iters=7, tol=0.0, accel="squarem"))
+    assert res.trace.rejected_extrapolations == 2
+    plain = fit(data, FitConfig(rank=2, max_iters=7, tol=0.0))
+    for name in ("loglik", "f_change", "v"):
+        assert np.array_equal(getattr(res.trace, name), getattr(plain.trace, name)), name
+    assert np.array_equal(res.model.F, plain.model.F)
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 4, 7])
+def test_squarem_meets_the_budget_exactly(monkeypatch, max_iters):
+    # every map evaluation counts, mid-cycle too, and leaves one entry
+    calls = []
+    real = fitter._step
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fitter, "_step", counting)
+    data, _ = two_group_data()
+    res = fit(data, FitConfig(rank=2, max_iters=max_iters, tol=0.0, accel="squarem"))
+    assert len(calls) == res.iterations == max_iters and not res.converged
+    assert len(res.trace.loglik) == len(res.trace.v) == max_iters + 1
+    assert len(res.trace.f_change) == len(res.trace.seconds) == max_iters
+
+
+@pytest.mark.parametrize("compress", [False, True])
+def test_squarem_final_loglik_is_the_models_likelihood(compress):
+    data = generate(preset_truth(3.0, seed=1), seed=1)
+    if compress:
+        data = compress_gram(data)
+    res = fit(data, FitConfig(rank=3, v_method="cubic", **_FIT_KW))
+    assert res.converged
+    direct = log_likelihood_direct(data, res.model)
+    assert abs(res.trace.loglik[-1] - direct) <= 1e-9 * abs(direct)
