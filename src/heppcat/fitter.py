@@ -199,6 +199,13 @@ def _step(data: GroupedData, model: FactorModel, G: np.ndarray, method: str):
     return model, G, coefficient_loglik(coefs, data.counts, model.v)
 
 
+def _point(data: GroupedData, model: FactorModel) -> tuple:
+    """``(model, G, loglik)``: ``model`` with its projection ``G = U'Y``
+    and its likelihood."""
+    G = model.U.T @ data.Y
+    return model, G, coefficient_loglik(_projected_coefficients(data, model, G), data.counts, model.v)
+
+
 def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
     # the Frobenius path of np.linalg.norm, without its dispatch
     diff = (new - old).ravel(order="K")
@@ -314,13 +321,11 @@ def _extrapolate(data: GroupedData, p0: tuple, p1: tuple, p2: tuple, scale: floa
     v = m0.v - (2.0 * alpha) * rv + (alpha * alpha) * wv
     if not ((v > 0.0).all() and np.isfinite(F).all()):
         return None
-    model = FactorModel._unchecked(F, v, m0.spectral_terms[0])
-    G = model.U.T @ data.Y
-    ll = coefficient_loglik(_projected_coefficients(data, model, G), data.counts, v)
+    point = _point(data, FactorModel._unchecked(F, v, m0.spectral_terms[0]))
     # the tie term keeps roundoff from flipping the decision between
     # fits of the same data, such as raw and Gram-compressed blocks
-    if ll >= ll2 - EXTRAPOLATION_TIE * (1.0 + abs(ll2)):
-        return model, G, ll
+    if point[2] >= ll2 - EXTRAPOLATION_TIE * (1.0 + abs(ll2)):
+        return point
     return None
 
 
@@ -367,10 +372,7 @@ def fit(data: GroupedData, cfg: FitConfig) -> FitResult:
     """
     if not 1 <= cfg.rank < data.d:
         raise ValueError("need 1 <= rank < d")
-    model = _initial_model(data, cfg)
-    G = model.U.T @ data.Y
-    ll = coefficient_loglik(_projected_coefficients(data, model, G), data.counts, model.v)
-    run = _Run(data, cfg, (model, G, ll))
+    run = _Run(data, cfg, _point(data, _initial_model(data, cfg)))
     if cfg.accel == "squarem":
         _squarem(run)
     else:

@@ -29,8 +29,8 @@ def em_update_F(data: GroupedData, model: FactorModel) -> FactorModel:
         If any ``v_l <= 0``; a zero variance has no posterior covariance.
     NumericalError
         If the k x k normal matrix has reciprocal condition below 1e-14,
-        numpy's solve raises ``LinAlgError``, or the updated factors are
-        not finite.
+        numpy's ``eigh`` raises ``LinAlgError``, or the updated factors
+        are not finite.
     """
     if data.d != model.d or data.L != model.L:
         raise ValueError("data and model shapes differ")
@@ -48,16 +48,15 @@ def _em_update_F(data: GroupedData, model: FactorModel, G: np.ndarray) -> Factor
     Zw = Z / np.repeat(model.v, data.widths)
     A = data.Y @ Zw.T
     N = Zw @ Z.T + np.diag(data.counts @ D)
-    N = 0.5 * (N + N.T)
-    w = np.linalg.eigvalsh(N)
-    if w[0] <= 0 or w[0] < _RCOND_FLOOR * w[-1]:
-        raise NumericalError("factor-update normal matrix is numerically singular")
-    # the check above proves N symmetric positive definite and well conditioned
+    # one eigendecomposition, of N's lower triangle, serves the condition
+    # check and the solve F+ = A Q diag(1/w) Q' Vt
     try:
-        X = np.linalg.solve(N, A.T)
+        w, Q = np.linalg.eigh(N)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"factor-update solve failed: {err}") from err
-    F = X.T @ Vt
+    if w[0] <= 0 or w[0] < _RCOND_FLOOR * w[-1]:
+        raise NumericalError("factor-update normal matrix is numerically singular")
+    F = A @ ((Q / w) @ (Q.T @ Vt))
     if not np.isfinite(F).all():
         raise NumericalError("factor update produced non-finite factors")
     return FactorModel._unchecked(F, model.v.copy(), model.spectral_terms[0])

@@ -45,13 +45,18 @@ def normalize_column_signs(U: np.ndarray, Vt: np.ndarray | None = None):
     preserved; returns either the flipped copy of ``U`` or ``(U, Vt)``.
     """
     U = np.array(U, dtype=float, copy=True)
-    flip = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
-    U[:, flip] *= -1.0
-    if Vt is None:
-        return U
-    Vt = np.array(Vt, dtype=float, copy=True)
-    Vt[flip, :] *= -1.0
-    return U, Vt
+    Vt = None if Vt is None else np.array(Vt, dtype=float, copy=True)
+    _flip_column_signs(U, Vt)
+    return U if Vt is None else (U, Vt)
+
+
+def _flip_column_signs(U: np.ndarray, Vt: np.ndarray | None) -> None:
+    """:func:`normalize_column_signs` in place; a factor of 1 or -1
+    changes nothing else, signed zeros included."""
+    sign = np.where(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0, -1.0, 1.0)
+    U *= sign
+    if Vt is not None:
+        Vt *= sign[:, None]
 
 
 def _whole(value, name: str) -> int:
@@ -207,11 +212,7 @@ class FactorModel:
 
     def _decompose(self, alpha: np.ndarray | None = None) -> None:
         U, s, Vt = np.linalg.svd(self.F, full_matrices=False)
-        # the flip of normalize_column_signs, in place on the fresh factors;
-        # a factor of 1 or -1 changes nothing else, signed zeros included
-        sign = np.where(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0, -1.0, 1.0)
-        U *= sign
-        Vt *= sign[:, None]
+        _flip_column_signs(U, Vt)
         self.U, self.Vt, self.lam = U, Vt, s**2
         gamma = np.concatenate(([0.0], self.lam))
         if alpha is None:

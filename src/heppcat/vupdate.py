@@ -27,17 +27,10 @@ bit-identical to one group's: every row they reduce is C-contiguous, so
 numpy reduces it exactly as it reduces a lone group's vector.
 
 The scalar loops run on Python floats built once per group: the root
-finder's first and second derivatives and their enclosures, and the
-difference-of-concave bisection's surrogate slope.  A numpy reduction
-over the ``k + 1`` coefficients costs far more in dispatch than in
-arithmetic.  The float sums are bit-identical to the numpy expressions
-they replace: they use only ``+``, ``-``, ``*`` and ``/``, which both
-round correctly, and numpy sums fewer than 8 entries in order, as the
-loops do (for ``k >= 7`` the two may differ in the last digit).  Cubes
-are products, ``t * t * t``, because numpy's ``t**3`` may round
-differently.  ``log``, which numpy and Python may also round
-differently, stays on numpy: every objective value used to rank
-candidates.
+finder's first and second derivatives and their enclosures, the
+difference-of-concave bisection's surrogate slope and the cubic
+surrogate that ranks its roots.  A numpy reduction over the ``k + 1``
+coefficients costs far more in dispatch than in arithmetic.
 """
 
 from __future__ import annotations
@@ -116,12 +109,10 @@ def _solvable_terms(c: VCoefficients, v_t) -> tuple:
     # each row sums as numpy sums one group's vector
     b_nz, g_nz = c.beta.compress(nz, axis=-1), c.gamma[nz]
     v = np.asarray(v_t, dtype=float)[..., None]
-    # Python's x**2 (libm pow), which now and then rounds differently from numpy's x*x
-    v_sq = np.array([x**2 for x in v.ravel().tolist()]).reshape(v.shape)
     t = g_nz + v
     tt = t * t
     zeta = (c.alpha[nz] / t).sum(axis=-1)
-    B_bar = c.beta_tilde + (b_nz * v_sq / tt).sum(axis=-1)
+    B_bar = c.beta_tilde + (b_nz * (v * v) / tt).sum(axis=-1)
     gamma_t = -zeta + (b_nz / tt).sum(axis=-1)
     c_bar = (-2.0 * b_nz / g_nz**3).sum(axis=-1)
     return float(c.alpha[c.zero_set].sum()), zeta, B_bar, gamma_t, c_bar
@@ -282,8 +273,7 @@ def _stationary_points(terms, lo: float, hi: float) -> list:
     neighbour holds a root: its polished midpoint is often the best
     candidate.  A call builds a few enclosures of each kind; they, the
     Newton steps and the bisection are float sums over ``terms``
-    (:func:`_float_terms`), bit-identical to the numpy expressions for
-    ``k <= 6`` (see the module docstring).
+    (:func:`_float_terms`).
     """
     width_tol = _ISOLATION_WIDTH_RTOL * (1.0 + hi)
     deriv = lambda v: _derivative(terms, v)
@@ -387,6 +377,13 @@ def update_v_em(c: VCoefficients, v_t):
     return update_v("em", c, v_t)
 
 
+def _log_slope(c: VCoefficients, v_t):
+    """``zeta_full = sum_j alpha_j / (gamma_j + v_t)``, the slope of the
+    difference-of-concave surrogate's linearized logs; one per group for
+    all-groups coefficients."""
+    return (c.alpha / (c.gamma + np.asarray(v_t, dtype=float)[..., None])).sum(axis=-1)
+
+
 def _inverse_square_sum(pairs, v: float) -> float:
     """``np.sum(beta / (gamma + v) ** 2)`` over ``(beta_j, gamma_j)`` pairs, same rounding."""
     s = 0.0
@@ -400,7 +397,7 @@ def _doc(c: VCoefficients, v: np.ndarray) -> np.ndarray:
     """:func:`update_v_doc` of all-groups coefficients: slopes and brackets
     over the ``beta`` matrix, then one bisection per group."""
     ratio, gamma = _bracket_terms(c)
-    zetas = (c.alpha / (c.gamma + v[:, None])).sum(axis=1)
+    zetas = _log_slope(c, v)
     his = (np.sqrt(ratio * (gamma + v[:, None])) - gamma).max(axis=1, initial=-np.inf)
     los = noise_floor(c)
     nz = ~c.zero_set
@@ -434,9 +431,8 @@ def update_v_doc(c: VCoefficients, v_t):
     sum_j beta_j/(gamma_j + v)^2`` is strictly decreasing, so the update
     returns 0 when it is nonpositive at ``0+`` and otherwise bisects for
     the unique positive zero.  The ~40 slopes the bisection evaluates are
-    float sums over ``(beta_j, gamma_j)`` pairs, bit-identical to the
-    numpy expression for ``k <= 6`` (see the module docstring).  Takes one
-    group's coefficients or all groups' (see :func:`update_v`).
+    float sums over ``(beta_j, gamma_j)`` pairs.  Takes one group's
+    coefficients or all groups' (see :func:`update_v`).
     """
     return update_v("doc", c, v_t)
 
@@ -512,13 +508,22 @@ def _real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> list:
     return out
 
 
+def _cubic_surrogate(x: float, alpha_tilde, beta_tilde, gamma_t, c_bar, v_t) -> float:
+    """The cubic surrogate at ``x`` up to its additive constant,
+    ``-alpha_tilde ln x - beta_tilde / x + gamma_t x + c_bar / 2 (x - v_t)^2``:
+    the linearized logs (slope ``-zeta``) and the tangents of the inverse
+    terms at ``v_t`` (slopes ``beta_j / (gamma_j + v_t)^2``) sum to ``gamma_t x``."""
+    h = x - v_t
+    return -alpha_tilde * math.log(x) - beta_tilde / x + gamma_t * x + 0.5 * c_bar * (h * h)
+
+
 def _cubic(c: VCoefficients, v: np.ndarray) -> np.ndarray:
     """:func:`update_v_cubic` of all-groups coefficients: the surrogate
     terms over the ``beta`` matrix, then one cubic per group."""
     alpha_tilde, zetas, _, gamma_ts, c_bars = _solvable_terms(c, v)
     out = []
-    for l, (v_t, beta_tilde, zeta, gamma_t, c_bar) in enumerate(
-        zip(v.tolist(), c.beta_tilde.tolist(), zetas.tolist(), gamma_ts.tolist(), c_bars.tolist())
+    for v_t, beta_tilde, zeta, gamma_t, c_bar in zip(
+        v.tolist(), c.beta_tilde.tolist(), zetas.tolist(), gamma_ts.tolist(), c_bars.tolist()
     ):
         if beta_tilde == 0.0:
             # the exactly-kept -alpha_tilde ln v term sends the surrogate to
@@ -536,10 +541,7 @@ def _cubic(c: VCoefficients, v: np.ndarray) -> np.ndarray:
                 f"(coefficients: c_bar={c_bar!r}, gamma_t={gamma_t!r}, "
                 f"alpha_tilde={alpha_tilde!r}, beta_tilde={beta_tilde!r}, v_t={v_t!r})"
             )
-        if len(roots) > 1:
-            values = [eval_minorizer("cubic", c.group(l), r, v_t) for r in roots]
-            roots = [roots[int(np.argmax(values))]]
-        out.append(roots[0])
+        out.append(max(roots, key=lambda r: _cubic_surrogate(r, alpha_tilde, beta_tilde, gamma_t, c_bar, v_t)))
     return np.array(out)
 
 
@@ -548,8 +550,7 @@ def update_v_cubic(c: VCoefficients, v_t):
     nonzero-gamma terms makes stationarity a cubic in ``v``.
 
     All real roots come from the closed form, and the positive root with
-    the largest surrogate value wins; a lone positive root is returned
-    without evaluating the surrogate.  Ranking alone suffices: on this
+    the largest surrogate value wins.  Ranking alone suffices: on this
     branch (``beta_tilde > 0``, ``c_bar < 0``) the surrogate falls to
     ``-inf`` both at ``0+`` and at ``+inf``, so its maximum is a positive
     stationary point, which the ranking finds.  Takes one group's
@@ -615,19 +616,11 @@ def _raw_minorizer(kind: str, c: VCoefficients, v_t: float):
         d, rho = c.ambient_dim, _em_rho(c, v_t)
         return lambda x: -d * math.log(x) - rho / x
     if kind == "doc":
-        anchor = c.gamma + v_t
-        return lambda x: float(-np.sum(c.alpha * x / anchor) - np.sum(c.beta / (c.gamma + x)))
+        zeta_full = float(_log_slope(c, v_t))
+        return lambda x: -zeta_full * x - float(np.sum(c.beta / (c.gamma + x)))
     if kind not in ("quad", "cubic"):
         raise ValueError(f"unknown minorizer kind: {kind!r}")
-    alpha_tilde, zeta, B_bar, _, c_bar = _solvable_terms(c, v_t)
+    alpha_tilde, zeta, B_bar, gamma_t, c_bar = _solvable_terms(c, v_t)
     if kind == "quad":
         return lambda x: -alpha_tilde * math.log(x) - B_bar / x - zeta * x
-    nz = ~c.zero_set
-    beta_nz, anchor_sq = c.beta[nz], (c.gamma[nz] + v_t) ** 2
-
-    def cubic(x: float) -> float:
-        lin = float(np.sum(beta_nz * x / anchor_sq))
-        quad = 0.5 * c_bar * (x - v_t) ** 2
-        return -alpha_tilde * math.log(x) - c.beta_tilde / x - zeta * x + lin + quad
-
-    return cubic
+    return lambda x: _cubic_surrogate(x, alpha_tilde, c.beta_tilde, gamma_t, c_bar, v_t)

@@ -285,7 +285,15 @@ def test_fit_numerical_failure_exit_4(tmp_path, capsys, monkeypatch):
 
 def test_fit_non_finite_factor_update_exit_4(tmp_path, capsys, monkeypatch):
     sim = simulate_small(tmp_path)
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(np.shape(b), np.nan))
+    eigh = np.linalg.eigh
+
+    def nan_eigh(a):
+        # NaN eigenvectors for the 2 x 2 normal matrix of the factor
+        # update; the 20 x 20 spectral start passes through
+        w, Q = eigh(a)
+        return (w, np.full(np.shape(a), np.nan)) if len(a) == 2 else (w, Q)
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
     code = run(["fit", "--data", sim / "data.csv", "--rank", 2, "--out", tmp_path / "m.json"])
     assert code == 4
     assert "non-finite factors" in capsys.readouterr().err

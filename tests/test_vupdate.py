@@ -526,7 +526,7 @@ def _reference_solvable_terms(c, v_t):
     nz = ~c.zero_set
     t = c.gamma[nz] + v_t
     zeta = float(np.sum(c.alpha[nz] / t))
-    B_bar = c.beta_tilde + float(np.sum(c.beta[nz] * v_t**2 / t**2))
+    B_bar = c.beta_tilde + float(np.sum(c.beta[nz] * (v_t * v_t) / t**2))
     gamma_t = -zeta + float(np.sum(c.beta[nz] / t**2))
     c_bar = float(np.sum(-2.0 * c.beta[nz] / c.gamma[nz] ** 3))
     return float(np.sum(c.alpha[c.zero_set])), zeta, B_bar, gamma_t, c_bar
@@ -537,15 +537,15 @@ def _reference_eval_minorizer(kind, c, v, v_t):
         if kind == "em":
             return -c.ambient_dim * math.log(x) - _reference_em_rho(c, v_t) / x
         if kind == "doc":
-            t = c.gamma + x
-            return float(-np.sum(c.alpha * x / (c.gamma + v_t)) - np.sum(c.beta / t))
-        alpha_tilde, zeta, B_bar, _, c_bar = _reference_solvable_terms(c, v_t)
+            # -zeta_full x - sum beta / (gamma + x), zeta_full the bisection's slope
+            zeta_full = float(np.sum(c.alpha / (c.gamma + v_t)))
+            return -zeta_full * x - float(np.sum(c.beta / (c.gamma + x)))
+        alpha_tilde, zeta, B_bar, gamma_t, c_bar = _reference_solvable_terms(c, v_t)
         if kind == "quad":
             return -alpha_tilde * math.log(x) - B_bar / x - zeta * x
-        nz = ~c.zero_set
-        lin = float(np.sum(c.beta[nz] * x / (c.gamma[nz] + v_t) ** 2))
-        quad = 0.5 * c_bar * (x - v_t) ** 2
-        return -alpha_tilde * math.log(x) - c.beta_tilde / x - zeta * x + lin + quad
+        # -alpha_tilde ln x - beta_tilde / x + gamma_t x + c_bar / 2 (x - v_t)^2
+        h = x - v_t
+        return -alpha_tilde * math.log(x) - c.beta_tilde / x + gamma_t * x + 0.5 * c_bar * (h * h)
 
     return univariate_objective(c, v_t) + (raw(v) - raw(v_t))
 
@@ -743,9 +743,9 @@ def test_updates_and_minorizers_match_numpy_reference_exactly():
             assert eval_minorizer(kind, c, v_t, v_t) == univariate_objective(c, v_t)
 
 
-def test_solvable_terms_square_the_anchor_with_pow():
-    # Python's v**2 (libm pow) and numpy's v*v differ in the last bit now
-    # and then; the surrogate terms use the former, as the references do
+def test_solvable_terms_square_the_anchor_as_a_product():
+    # on anchors where Python's v**2 (libm pow) and the correctly rounded
+    # v*v differ in the last bit, the surrogate terms use the product
     rng = np.random.default_rng(11)
     v = 10 ** rng.uniform(-2.0, 2.0, 20_000)
     anchors = [x for x, y in zip(v.tolist(), (v * v).tolist()) if x**2 != y][:20]
