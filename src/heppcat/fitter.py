@@ -321,7 +321,7 @@ def _extrapolate(data: GroupedData, p0: tuple, p1: tuple, p2: tuple, scale: floa
     v = m0.v - (2.0 * alpha) * rv + (alpha * alpha) * wv
     if not ((v > 0.0).all() and np.isfinite(F).all()):
         return None
-    point = _point(data, FactorModel._unchecked(F, v, m0.spectral_terms[0]))
+    point = _point(data, FactorModel._unchecked(F, v))
     # the tie term keeps roundoff from flipping the decision between
     # fits of the same data, such as raw and Gram-compressed blocks
     if point[2] >= ll2 - EXTRAPOLATION_TIE * (1.0 + abs(ll2)):

@@ -59,7 +59,7 @@ def _em_update_F(data: GroupedData, model: FactorModel, G: np.ndarray) -> Factor
     F = A @ ((Q / w) @ (Q.T @ Vt))
     if not np.isfinite(F).all():
         raise NumericalError("factor update produced non-finite factors")
-    return FactorModel._unchecked(F, model.v.copy(), model.spectral_terms[0])
+    return FactorModel._unchecked(F, model.v.copy())
 
 
 def compress_gram(data: GroupedData) -> GroupedData:

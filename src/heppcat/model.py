@@ -201,22 +201,20 @@ class FactorModel:
         self._decompose()
 
     @classmethod
-    def _unchecked(cls, F: np.ndarray, v: np.ndarray, alpha: np.ndarray | None = None) -> "FactorModel":
+    def _unchecked(cls, F: np.ndarray, v: np.ndarray) -> "FactorModel":
         """A model of a C-ordered float ``F`` and ``v`` without the checks;
-        the SVD still runs.  ``alpha`` may pass on another model's
-        ``spectral_terms[0]`` when ``F`` has the same shape."""
+        the SVD still runs."""
         out = cls.__new__(cls)
         out.F, out.v = F, v
-        out._decompose(alpha)
+        out._decompose()
         return out
 
-    def _decompose(self, alpha: np.ndarray | None = None) -> None:
+    def _decompose(self) -> None:
         U, s, Vt = np.linalg.svd(self.F, full_matrices=False)
         _flip_column_signs(U, Vt)
         self.U, self.Vt, self.lam = U, Vt, s**2
         gamma = np.concatenate(([0.0], self.lam))
-        if alpha is None:
-            alpha = np.array([self.d - self.k] + [1.0] * self.k)
+        alpha = np.array([self.d - self.k] + [1.0] * self.k)
         self.spectral_terms = (alpha, gamma, _zero_set(gamma))
 
     def _with_v(self, v: np.ndarray) -> "FactorModel":

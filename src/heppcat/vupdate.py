@@ -26,11 +26,15 @@ the groups for the root finding.  The batched expressions are
 bit-identical to one group's: every row they reduce is C-contiguous, so
 numpy reduces it exactly as it reduces a lone group's vector.
 
-The scalar loops run on Python floats built once per group: the root
-finder's first and second derivatives and their enclosures, the
-difference-of-concave bisection's surrogate slope and the cubic
-surrogate that ranks its roots.  A numpy reduction over the ``k + 1``
-coefficients costs far more in dispatch than in arithmetic.
+Both root-finding updates end in one solver, safeguarded Newton on a
+bracket whose ends change sign (:func:`_monotone_root`): ``rootfind``
+on the derivative of ``L``, ``doc`` on its surrogate's strictly
+decreasing slope.  The scalar loops run on Python floats built once per
+group: the root finder's first and second derivatives and their
+enclosures, the difference-of-concave surrogate's slope and its
+derivative, and the cubic surrogate that ranks its roots.  A numpy
+reduction over the ``k + 1`` coefficients costs far more in dispatch
+than in arithmetic.
 """
 
 from __future__ import annotations
@@ -59,10 +63,8 @@ MINORIZER_KINDS = ("em", "doc", "quad", "cubic")
 
 _ISOLATION_WIDTH_RTOL = 1e-10
 _ISOLATION_DEPTH_CAP = 60
-_BISECT_RTOL = 1e-13
 _MONOTONE_STEPS_CAP = 100
 _MONOTONE_ULPS = 4.0
-_DOC_ATOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 
@@ -198,10 +200,10 @@ def _newton_polish(terms, v: float, lo: float, hi: float) -> float:
     return v
 
 
-def _monotone_root(terms, a: float, b: float, fa: float, fb: float) -> float:
-    """The one zero of the derivative in [a, b], where the derivative is
-    strictly monotone and its end values ``fa``, ``fb`` change sign (or
-    one of them is 0).
+def _monotone_root(fd, a: float, b: float, fa: float, fb: float) -> float:
+    """A zero of ``f`` in [a, b], the only one where ``f`` is strictly
+    monotone: ``fd(v)`` returns ``(f(v), f'(v))``, and the end values
+    ``fa``, ``fb`` change sign (or one of them is 0).
 
     Safeguarded Newton from the midpoint: every evaluation shrinks the
     bracket to the side that keeps the sign change, and a Newton step
@@ -215,43 +217,18 @@ def _monotone_root(terms, a: float, b: float, fa: float, fb: float) -> float:
     a_positive = fa > 0
     v = 0.5 * (a + b)
     for _ in range(_MONOTONE_STEPS_CAP):
-        d1 = _derivative(terms, v)
-        if d1 == 0.0:
+        f, df = fd(v)
+        if f == 0.0:
             return v
-        if (d1 > 0) == a_positive:
+        if (f > 0) == a_positive:
             a = v
         else:
             b = v
-        d2 = _second_derivative(terms, v)
-        step = d1 / d2 if d2 != 0.0 else math.inf
+        step = f / df if df != 0.0 else math.inf
         if abs(step) <= _MONOTONE_ULPS * _EPS * v:
             return min(max(v - step, a), b)
         v = v - step if a < v - step < b else 0.5 * (a + b)
     return v
-
-
-def _bisect_root(
-    f, a: float, b: float, fa: float, fb: float, rtol: float = _BISECT_RTOL, atol: float = 0.0
-) -> float:
-    """Plain bisection of a sign change in ``[a, b]``, ``0 < a < b``, down to
-    width ``atol + rtol * m`` at the midpoint ``m``."""
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    a_positive = fa > 0
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if (b - a) <= atol + rtol * m:
-            return m
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fm > 0) == a_positive:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
 
 
 def _stationary_points(terms, lo: float, hi: float) -> list:
@@ -259,24 +236,24 @@ def _stationary_points(terms, lo: float, hi: float) -> list:
 
     Interval Newton with a monotonicity test (Hansen & Walster, *Global
     Optimization Using Interval Analysis*, 2004).  A subinterval is
-    discarded when an enclosure of the derivative excludes zero.  When
-    it holds zero but an enclosure of the second derivative does not,
-    the derivative is monotone there: a sign change at the ends means
-    exactly one root, found by :func:`_monotone_root`, and none means no
-    root.  Otherwise the subinterval is split, and once narrower than
-    ~1e-10 relative it is resolved by bisection and a Newton polish.
-    Only tangent (double) stationary points, where the second
-    derivative vanishes, reach that leaf; they yield a midpoint
-    candidate, which is harmless because callers rank candidates by
-    objective value.  Adjacent leaves often polish onto the same root;
-    the copies are dropped.  A tangent leaf is kept even when a
-    neighbour holds a root: its polished midpoint is often the best
-    candidate.  A call builds a few enclosures of each kind; they, the
-    Newton steps and the bisection are float sums over ``terms``
+    discarded when an enclosure of the derivative excludes zero.  It is
+    resolved when an enclosure of the second derivative excludes zero,
+    so that the derivative is monotone there, or once it is narrower
+    than ~1e-10 relative: a sign change of the derivative at its ends
+    goes to :func:`_monotone_root`, and a monotone subinterval without
+    one holds no root.  Otherwise the subinterval is split.  Only
+    tangent (double) stationary points, where the second derivative
+    vanishes, reach the leaves; a leaf without a sign change yields its
+    midpoint after a Newton polish, a candidate that is harmless because
+    callers rank candidates by objective value.  Adjacent leaves often
+    polish onto the same root; the copies are dropped.  A tangent leaf
+    is kept even when a neighbour holds a root: its polished midpoint is
+    often the best candidate.  A call builds a few enclosures of each
+    kind; they and the Newton steps are float sums over ``terms``
     (:func:`_float_terms`).
     """
     width_tol = _ISOLATION_WIDTH_RTOL * (1.0 + hi)
-    deriv = lambda v: _derivative(terms, v)
+    fd = lambda v: (_derivative(terms, v), _second_derivative(terms, v))
     roots: list = []
     stack = [(lo, hi, 0)]
     while stack:
@@ -287,18 +264,13 @@ def _stationary_points(terms, lo: float, hi: float) -> list:
         if r_lo > 0.0 or r_hi < 0.0:
             continue
         s_lo, s_hi = _second_derivative_range(terms, a, b)
-        if s_lo > 0.0 or s_hi < 0.0:
-            fa, fb = deriv(a), deriv(b)
+        monotone = s_lo > 0.0 or s_hi < 0.0
+        if monotone or (b - a) < width_tol:
+            fa, fb = _derivative(terms, a), _derivative(terms, b)
             if fa == 0.0 or fb == 0.0 or (fa > 0) != (fb > 0):
-                roots.append(_monotone_root(terms, a, b, fa, fb))
-            continue
-        if (b - a) < width_tol:
-            fa, fb = deriv(a), deriv(b)
-            if fa == 0.0 or fb == 0.0 or (fa > 0) != (fb > 0):
-                r = _bisect_root(deriv, a, b, fa, fb)
-            else:
-                r = 0.5 * (a + b)
-            roots.append(_newton_polish(terms, r, lo, hi))
+                roots.append(_monotone_root(fd, a, b, fa, fb))
+            elif not monotone:
+                roots.append(_newton_polish(terms, 0.5 * (a + b), lo, hi))
             continue
         m = 0.5 * (a + b)
         stack.append((m, b, depth + 1))
@@ -384,18 +356,22 @@ def _log_slope(c: VCoefficients, v_t):
     return (c.alpha / (c.gamma + np.asarray(v_t, dtype=float)[..., None])).sum(axis=-1)
 
 
-def _inverse_square_sum(pairs, v: float) -> float:
-    """``np.sum(beta / (gamma + v) ** 2)`` over ``(beta_j, gamma_j)`` pairs, same rounding."""
-    s = 0.0
+def _doc_slope(pairs, zeta_full: float, x: float) -> tuple:
+    """The difference-of-concave surrogate's slope ``sum beta_j / (gamma_j +
+    x)^2 - zeta_full`` and its derivative ``-2 sum beta_j / (gamma_j + x)^3``,
+    two running sums over ``(beta_j, gamma_j)`` pairs in numpy's order."""
+    s2 = s3 = 0.0
     for beta, gamma in pairs:
-        t = gamma + v
-        s += beta / (t * t)
-    return s
+        t = gamma + x
+        tt = t * t
+        s2 += beta / tt
+        s3 += beta / (tt * t)
+    return s2 - zeta_full, -2.0 * s3
 
 
 def _doc(c: VCoefficients, v: np.ndarray) -> np.ndarray:
     """:func:`update_v_doc` of all-groups coefficients: slopes and brackets
-    over the ``beta`` matrix, then one bisection per group."""
+    over the ``beta`` matrix, then one safeguarded Newton per group."""
     ratio, gamma = _bracket_terms(c)
     zetas = _log_slope(c, v)
     his = (np.sqrt(ratio * (gamma + v[:, None])) - gamma).max(axis=1, initial=-np.inf)
@@ -403,24 +379,24 @@ def _doc(c: VCoefficients, v: np.ndarray) -> np.ndarray:
     nz = ~c.zero_set
     gammas = c.gamma.tolist()
     out = []
-    for l, (betas, beta_tilde, v_t, zeta_full, lo, hi) in enumerate(
-        zip(c.beta.tolist(), c.beta_tilde.tolist(), v.tolist(), zetas.tolist(), los.tolist(), his.tolist())
+    for l, (betas, beta_tilde, zeta_full, lo, hi) in enumerate(
+        zip(c.beta.tolist(), c.beta_tilde.tolist(), zetas.tolist(), los.tolist(), his.tolist())
     ):
         if beta_tilde == 0.0 and float(np.sum(c.beta[l, nz] / c.gamma[nz] ** 2)) <= zeta_full:
             out.append(0.0)
             continue
         pairs = tuple(zip(betas, gammas))
-        fdot = lambda x: _inverse_square_sum(pairs, x) - zeta_full
-        f_lo = fdot(lo)
+        fd = lambda x: _doc_slope(pairs, zeta_full, x)
+        f_lo = fd(lo)[0]
         if f_lo <= 0.0:
             if f_lo == 0.0:
                 out.append(lo)
                 continue
             raise NumericalError("difference-of-concave bracket has no sign change at its floor")
-        f_hi = fdot(hi)
+        f_hi = fd(hi)[0]
         if f_hi > 0.0:
             raise NumericalError("difference-of-concave bracket upper endpoint is not past the zero")
-        out.append(_bisect_root(fdot, lo, hi, f_lo, f_hi, rtol=0.0, atol=_DOC_ATOL * (1.0 + v_t)))
+        out.append(_monotone_root(fd, lo, hi, f_lo, f_hi))
     return np.array(out)
 
 
@@ -429,9 +405,9 @@ def update_v_doc(c: VCoefficients, v_t):
 
     The surrogate derivative ``-sum_j alpha_j/(gamma_j + v_t) +
     sum_j beta_j/(gamma_j + v)^2`` is strictly decreasing, so the update
-    returns 0 when it is nonpositive at ``0+`` and otherwise bisects for
-    the unique positive zero.  The ~40 slopes the bisection evaluates are
-    float sums over ``(beta_j, gamma_j)`` pairs.  Takes one group's
+    returns 0 when it is nonpositive at ``0+`` and otherwise finds the
+    unique positive zero by safeguarded Newton (:func:`_monotone_root`)
+    on float sums over ``(beta_j, gamma_j)`` pairs.  Takes one group's
     coefficients or all groups' (see :func:`update_v`).
     """
     return update_v("doc", c, v_t)

@@ -96,8 +96,7 @@ def test_trace_seconds_include_the_likelihood(monkeypatch):
     assert np.all(r.trace.seconds >= 0.002)
 
 
-@pytest.mark.parametrize("rule", ["alternate"])
-def test_one_svd_per_iteration(monkeypatch, rule):
+def test_one_svd_per_iteration(monkeypatch):
     # the spectral start's model and one updated factor matrix per
     # iteration; the noise update keeps its model's SVD
     calls = []
@@ -113,8 +112,7 @@ def test_one_svd_per_iteration(monkeypatch, rule):
     assert len(calls) == 1 + 5
 
 
-@pytest.mark.parametrize("rule", ["alternate"])
-def test_one_projection_per_iteration(rule):
+def test_one_projection_per_iteration():
     # k x M products U'Y: the initial likelihood's, which the first
     # factor update reuses, and one per iteration on the updated basis,
     # which the next factor update reuses
@@ -133,9 +131,8 @@ def test_one_projection_per_iteration(rule):
     assert shapes == [(2, data.d)] * (1 + 5)
 
 
-@pytest.mark.parametrize("rule", ["alternate"])
 @pytest.mark.parametrize("compress", [False, True])
-def test_trace_loglik_is_the_models_likelihood(rule, compress):
+def test_trace_loglik_is_the_models_likelihood(compress):
     data, _ = two_group_data(sizes=(60, 8), v=(0.4, 2.5))
     if compress:
         data = compress_gram(data)
@@ -265,8 +262,7 @@ def test_ascent_monitor_counts_a_forced_drop(monkeypatch, caplog):
     assert len(warnings) == 1 and "1 of 8 iterations" in warnings[0].getMessage()
 
 
-@pytest.mark.parametrize("rule", ["alternate"])
-def test_ascent_monitor_silent_on_normal_fits(rule, caplog):
+def test_ascent_monitor_silent_on_normal_fits(caplog):
     data, _ = two_group_data()
     with caplog.at_level(logging.WARNING, logger="heppcat"):
         for method in V_METHODS:

@@ -31,18 +31,15 @@ from heppcat.fupdate import compress_gram
 from heppcat.model import group_coefficients
 from heppcat.simgen import generate
 from heppcat.vupdate import (
-    _BISECT_RTOL,
-    _DOC_ATOL,
     _EPS,
     _ISOLATION_DEPTH_CAP,
     _ISOLATION_WIDTH_RTOL,
     _MONOTONE_STEPS_CAP,
     _MONOTONE_ULPS,
-    _bisect_root,
     _derivative,
     _derivative_range,
+    _doc_slope,
     _float_terms,
-    _inverse_square_sum,
     _newton_polish,
     _positive_quadratic_root,
     _real_cubic_roots,
@@ -335,10 +332,11 @@ def test_cubic_roots_triple_and_double():
 # The ``_reference_*`` oracles below are the numpy versions of the
 # routines whose scalar loops now run on Python floats: the first and
 # second derivatives and their enclosures, the rootfind isolation with
-# its safeguarded Newton and its polish, the difference-of-concave
-# bisection, the cubic ranking and the surrogate evaluation.  For k <= 6
-# the float loops must reproduce them bit for bit.  Cubes are written as
-# products in both forms; numpy's ``t**3`` may round differently.
+# its polish, the safeguarded Newton that both rootfind and the
+# difference-of-concave update end in, the cubic ranking and the
+# surrogate evaluation.  For k <= 6 the float loops must reproduce them
+# bit for bit.  Cubes are written as products in both forms; numpy's
+# ``t**3`` may round differently.
 
 
 def _reference_second_derivative(c, v):
@@ -373,34 +371,56 @@ def _reference_newton_polish(c, v, lo, hi, second=_reference_second_derivative):
     return v
 
 
-def _reference_monotone_root(c, a, b, fa, fb):
+def _reference_monotone_root(fd, a, b, fa, fb):
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
     v = 0.5 * (a + b)
     for _ in range(_MONOTONE_STEPS_CAP):
-        d1 = univariate_derivative(c, v)
-        if d1 == 0.0:
+        f, df = fd(v)
+        if f == 0.0:
             return v
-        if (d1 > 0) == (fa > 0):
+        if (f > 0) == (fa > 0):
             a = v
         else:
             b = v
-        d2 = _reference_second_derivative(c, v)
-        step = d1 / d2 if d2 != 0.0 else math.inf
+        step = f / df if df != 0.0 else math.inf
         if abs(step) <= _MONOTONE_ULPS * _EPS * v:
             return min(max(v - step, a), b)
         v = v - step if a < v - step < b else 0.5 * (a + b)
     return v
 
 
+def _plain_bisection(f, a, b, fa, fb):
+    # the leaf root finder of the splitting isolation: bisection of a
+    # sign change down to 1e-13 relative width
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        if (b - a) <= 1e-13 * m:
+            return m
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fm > 0) == (fa > 0):
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
 def _reference_stationary_points(c, lo, hi):
     # every root, copies included: intervals whose derivative enclosure
-    # holds 0 are solved by safeguarded Newton where the second-derivative
-    # enclosure excludes 0, split otherwise, and resolved as leaves once
-    # narrower than ~1e-10 relative
+    # holds 0 are resolved where the second-derivative enclosure excludes
+    # 0 or once narrower than ~1e-10 relative, and split otherwise.  A
+    # sign change goes to the safeguarded Newton; a leaf without one
+    # yields its polished midpoint
     width_tol = _ISOLATION_WIDTH_RTOL * (1.0 + hi)
+    fd = lambda v: (univariate_derivative(c, v), _reference_second_derivative(c, v))
     roots = []
     stack = [(lo, hi, 0)]
     while stack:
@@ -411,19 +431,13 @@ def _reference_stationary_points(c, lo, hi):
         if r_lo > 0.0 or r_hi < 0.0:
             continue
         s_lo, s_hi = _reference_second_derivative_range(c, a, b)
-        if s_lo > 0.0 or s_hi < 0.0:
+        monotone = s_lo > 0.0 or s_hi < 0.0
+        if monotone or (b - a) < width_tol:
             fa, fb = univariate_derivative(c, a), univariate_derivative(c, b)
             if fa == 0.0 or fb == 0.0 or (fa > 0) != (fb > 0):
-                roots.append(_reference_monotone_root(c, a, b, fa, fb))
-            continue
-        if (b - a) < width_tol:
-            deriv = lambda v: univariate_derivative(c, v)
-            fa, fb = deriv(a), deriv(b)
-            if fa == 0.0 or fb == 0.0 or (fa > 0) != (fb > 0):
-                r = _bisect_root(deriv, a, b, fa, fb)
-            else:
-                r = 0.5 * (a + b)
-            roots.append(_reference_newton_polish(c, r, lo, hi))
+                roots.append(_reference_monotone_root(fd, a, b, fa, fb))
+            elif not monotone:
+                roots.append(_reference_newton_polish(c, 0.5 * (a + b), lo, hi))
             continue
         m = 0.5 * (a + b)
         stack.append((m, b, depth + 1))
@@ -457,7 +471,7 @@ def _splitting_isolation(c, lo, hi):
         if (b - a) < width_tol:
             fa, fb = deriv(a), deriv(b)
             if fa == 0.0 or fb == 0.0 or (fa > 0) != (fb > 0):
-                r = _bisect_root(deriv, a, b, fa, fb)
+                r = _plain_bisection(deriv, a, b, fa, fb)
             else:
                 r = 0.5 * (a + b)
             roots.append(_reference_newton_polish(c, r, lo, hi, second))
@@ -488,37 +502,39 @@ def _reference_rootfind(c, v_t=None, points=_reference_stationary_points):
     return float(candidates[int(np.argmax(values))])
 
 
-def _reference_doc(c, v_t):
+def _reference_doc_slope(c, zeta_full, x):
+    # the surrogate's slope and its derivative
+    t = c.gamma + x
+    return float(np.sum(c.beta / (t * t))) - zeta_full, -2.0 * float(np.sum(c.beta / (t * t * t)))
+
+
+def _reference_doc_bracket(c, v_t):
+    # zeta_full, lo and hi of the update, or None on its zero branch
     zeta_full = float(np.sum(c.alpha / (c.gamma + v_t)))
     nz = ~c.zero_set
     slope0 = float(np.sum(c.beta[nz] / c.gamma[nz] ** 2))
     if c.beta_tilde == 0.0 and slope0 <= zeta_full:
-        return 0.0
-    fdot = lambda v: float(np.sum(c.beta / (c.gamma + v) ** 2)) - zeta_full
+        return None
     active = c.alpha > 0.0
     hi = float(np.max(np.sqrt(c.beta[active] / c.alpha[active] * (c.gamma[active] + v_t)) - c.gamma[active]))
-    lo = noise_floor(c)
-    f_lo = fdot(lo)
+    return zeta_full, noise_floor(c), hi
+
+
+def _reference_doc(c, v_t):
+    bracket = _reference_doc_bracket(c, v_t)
+    if bracket is None:
+        return 0.0
+    zeta_full, lo, hi = bracket
+    fd = lambda x: _reference_doc_slope(c, zeta_full, x)
+    f_lo = fd(lo)[0]
     if f_lo <= 0.0:
         if f_lo == 0.0:
             return lo
         raise NumericalError("no sign change at the floor")
-    if fdot(hi) > 0.0:
+    f_hi = fd(hi)[0]
+    if f_hi > 0.0:
         raise NumericalError("upper endpoint not past the zero")
-    atol = _DOC_ATOL * (1.0 + v_t)
-    a, b = lo, hi
-    for _ in range(200):
-        if (b - a) <= atol:
-            break
-        m = 0.5 * (a + b)
-        fm = fdot(m)
-        if fm == 0.0:
-            return m
-        if fm > 0.0:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
+    return _reference_monotone_root(fd, lo, hi, f_lo, f_hi)
 
 
 def _reference_solvable_terms(c, v_t):
@@ -537,7 +553,7 @@ def _reference_eval_minorizer(kind, c, v, v_t):
         if kind == "em":
             return -c.ambient_dim * math.log(x) - _reference_em_rho(c, v_t) / x
         if kind == "doc":
-            # -zeta_full x - sum beta / (gamma + x), zeta_full the bisection's slope
+            # -zeta_full x - sum beta / (gamma + x), zeta_full the update's log slope
             zeta_full = float(np.sum(c.alpha / (c.gamma + v_t)))
             return -zeta_full * x - float(np.sum(c.beta / (c.gamma + x)))
         alpha_tilde, zeta, B_bar, gamma_t, c_bar = _reference_solvable_terms(c, v_t)
@@ -700,8 +716,9 @@ def test_tangent_stationary_point_takes_the_leaf_path(monkeypatch):
 
 
 def test_float_sums_match_numpy(rng):
-    # the rootfind first and second derivatives and the doc slope; numpy
-    # sums fewer than 8 entries in order, so for k <= 6 the rounding is the same
+    # the rootfind first and second derivatives and both sums of the doc
+    # slope; numpy sums fewer than 8 entries in order, so for k <= 6 the
+    # rounding is the same
     eps = np.finfo(float).eps
     for k in range(1, 11):
         for _ in range(200):
@@ -710,14 +727,14 @@ def test_float_sums_match_numpy(rng):
             t = c.gamma + v
             pairs = tuple(zip(c.beta.tolist(), c.gamma.tolist()))
             terms = _float_terms(c)
-            got = (_derivative(terms, v), _inverse_square_sum(pairs, v), _second_derivative(terms, v))
-            want = (univariate_derivative(c, v), float(np.sum(c.beta / t**2)), _reference_second_derivative(c, v))
+            got = (_derivative(terms, v), *_doc_slope(pairs, 0.0, v), _second_derivative(terms, v))
+            want = (univariate_derivative(c, v), *_reference_doc_slope(c, 0.0, v), _reference_second_derivative(c, v))
             if k <= 6:
                 assert got == want
             else:
                 # each sum gets the scale of its own terms
                 scales = (float(np.sum(c.alpha / t + c.beta / t**2)),) * 2
-                scales += (float(np.sum(c.alpha / t**2 + 2.0 * c.beta / t**3)),)
+                scales += (float(np.sum(2.0 * c.beta / t**3)), float(np.sum(c.alpha / t**2 + 2.0 * c.beta / t**3)))
                 assert all(abs(g - w) <= 16 * (k + 1) * eps * s for g, w, s in zip(got, want, scales))
 
 
@@ -775,22 +792,46 @@ def test_cubic_update_ranks_its_positive_roots():
     assert multi >= 20
 
 
-def test_updates_match_numpy_reference_within_bisection_width_for_large_k():
+def test_updates_match_numpy_reference_for_large_k():
     # numpy sums 8 or more entries pairwise, so the float loops may round
-    # the derivative differently in the last digit; the two then agree to
-    # the bisection's final width: 1e-13 relative for rootfind (before
-    # its polish) and 1e-12 * (1 + v_t) absolute for doc
+    # the derivative or the doc slope differently in the last digit, and
+    # the root solvers may take other steps: rootfind agrees within 1e-13
+    # relative and doc within 1e-12 * (1 + v_t) absolute
     rng = np.random.default_rng(5)
     for c, v_t, _ in _criterion4_sets(rng, range(7, 11), 400):
         for method in V_METHODS:
             got = update_v(method, c, v_t)
             want = _REFERENCE_UPDATES[method](c, v_t)
             if method == "rootfind":
-                assert abs(got - want) <= _BISECT_RTOL * abs(want)
+                assert abs(got - want) <= 1e-13 * abs(want)
             elif method == "doc":
-                assert abs(got - want) <= _DOC_ATOL * (1.0 + v_t)
+                assert abs(got - want) <= 1e-12 * (1.0 + v_t)
             else:
                 assert got == want
+
+
+def test_doc_update_is_the_zero_of_its_surrogate_slope():
+    # the safeguarded Newton lands within 1e-14 relative of the zero of
+    # the surrogate slope, which a numpy bisection locates down to
+    # adjacent doubles (a bisection stopped at 1e-12 * (1 + v_t) absolute
+    # is off by up to 2.1e-11 relative on these sets)
+    rng = np.random.default_rng(23)
+    for i in range(2400):
+        c = random_coefficients(rng, k=1 + i % 6, zero_energy_prob=0.0)
+        v_t = float(10 ** rng.uniform(-2.0, 1.5))
+        zeta_full, a, b = _reference_doc_bracket(c, v_t)
+        slope = lambda x: _reference_doc_slope(c, zeta_full, x)[0]
+        assert slope(a) > 0.0 >= slope(b)
+        while True:
+            m = 0.5 * (a + b)
+            if m in (a, b):
+                break
+            if slope(m) > 0.0:
+                a = m
+            else:
+                b = m
+        got = update_v_doc(c, v_t)
+        assert abs(got - b) <= 1e-14 * b, (c, v_t, got, a, b)
 
 
 def test_fit_traces_match_numpy_reference_updates(monkeypatch):
