@@ -17,6 +17,12 @@ Baseline rows are computed on the raw data; a heppcat row may differ
 from a fit of the raw data in its last digits.  fig6's blocks have at
 most ``d`` columns, so they are fitted as they are.  A harness fit that
 stops at its iteration budget logs a ``heppcat`` warning.
+
+A task's fits of one dataset run as the lanes of one batched fit
+(``fitter._fit_lanes``): a benchmark task fits all of its heppcat
+methods together and a landscape task all of its starts, and each lane's
+result is bit-identical to its own fit.  fig6 fits each method and block
+size on its own, since every block size is a different dataset.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ import numpy as np
 from . import _blas
 from ._pool import _map_tasks, worker_count
 from .baselines import ppca_closed_form, weighted_pca
-from .fitter import DEFAULT_V_METHOD, FitConfig, fit, init_random
+from .fitter import DEFAULT_V_METHOD, FitConfig, _fit_lanes, init_random
+from .fitter import fit  # noqa: F401  (perfbench's tracer wraps it here)
 from .fupdate import compress_gram
 from .metrics import component_recovery, factor_error, nrmse, relative_bias, subspace_error
 from .model import FactorModel, GroupedData, _count, _whole, group_coefficients, univariate_objective
@@ -120,16 +127,19 @@ def preset_truth(sigma2: float, seed: int, trial: int = 0, blocked: bool = False
     )
 
 
-def _fit_heppcat(data: GroupedData, method: str, start: FactorModel) -> FactorModel:
-    """The harness fit of heppcat ``method`` from ``start``; a fit that
-    stops at the iteration budget is logged, not scored silently."""
-    res = fit(data, FitConfig(rank=start.k, v_method=_HEPPCAT_METHODS[method], init=start, **_FIT_KW))
-    if not res.converged:
-        _log.warning(
-            "%s fit on L=%d groups stopped at max_iters without converging (%d iterations)",
-            method, data.L, res.iterations,
-        )
-    return res.model
+def _fit_heppcat(data: GroupedData, methods: list, start: FactorModel) -> list:
+    """The harness fits of the heppcat ``methods`` from ``start``, as the
+    lanes of one batched fit; a fit that stops at the iteration budget is
+    logged, not scored silently."""
+    cfgs = [FitConfig(rank=start.k, v_method=_HEPPCAT_METHODS[m], init=start, **_FIT_KW) for m in methods]
+    results = _fit_lanes(data, cfgs)
+    for method, res in zip(methods, results):
+        if not res.converged:
+            _log.warning(
+                "%s fit on L=%d groups stopped at max_iters without converging (%d iterations)",
+                method, data.L, res.iterations,
+            )
+    return [res.model for res in results]
 
 
 def _split_into_blocks(data: GroupedData, block: int) -> GroupedData:
@@ -140,17 +150,12 @@ def _split_into_blocks(data: GroupedData, block: int) -> GroupedData:
     return GroupedData.from_samples(data.Y, [block] * (data.n // block))
 
 
-def _standard_rows(
-    preset: str, method: str, data: GroupedData, truth: TruthModel, start: FactorModel, packed: GroupedData
-) -> list:
-    """metric/value pairs for one method on one dataset; ``start`` is the
-    dataset's spectral model and ``packed`` its Gram roots."""
+def _standard_rows(preset: str, method: str, data: GroupedData, truth: TruthModel, model: FactorModel) -> list:
+    """metric/value pairs for one method on one dataset; ``model`` is the
+    method's fit for the heppcat methods and the spectral model for
+    ``ppca-full``."""
     F_true = truth.F
-    if method in _HEPPCAT_METHODS:
-        model = _fit_heppcat(packed, method, start)
-        U_hat, F_hat = model.U, model.F
-    elif method == "ppca-full":
-        model = start
+    if method in _HEPPCAT_METHODS or method == "ppca-full":
         U_hat, F_hat = model.U, model.F
     elif method in ("ppca-group1", "ppca-group2"):
         g = 0 if method.endswith("1") else 1
@@ -183,7 +188,7 @@ def _fig6_rows(method: str, data: GroupedData, truth: TruthModel) -> list:
     out = []
     for block in FIG6_BLOCK_SIZES:
         regrouped = _split_into_blocks(data, block)
-        model = _fit_heppcat(regrouped, method, ppca_closed_form(regrouped, PRESET_K))
+        (model,) = _fit_heppcat(regrouped, [method], ppca_closed_form(regrouped, PRESET_K))
         # blocks inherit the true variance of the group they came from
         true_v = np.repeat(truth.v, [n // block for n in truth.group_sizes])
         for v_hat, v_true in zip(model.v, true_v):
@@ -192,22 +197,33 @@ def _fig6_rows(method: str, data: GroupedData, truth: TruthModel) -> list:
 
 
 def _benchmark_task(payload: tuple) -> list:
-    """The ``(method, metric, value)`` triples of one trial and noise level."""
+    """The ``(method, metric, value)`` triples of one trial and noise
+    level; the task's heppcat methods are fitted as lanes of one fit."""
     preset, trial, sigma2, seed, methods = payload
     truth = preset_truth(sigma2, seed, trial, blocked=(preset == "fig7"))
     data = generate(truth, seed, trial)
-    any_fit = preset != "fig6-blocks" and any(m in _HEPPCAT_METHODS for m in methods)
-    start = ppca_closed_form(data, PRESET_K) if any_fit or "ppca-full" in methods else None
-    packed = compress_gram(data) if any_fit else None
-    triples = []
-    for method in methods:
-        pairs = (
-            _fig6_rows(method, data, truth)
-            if preset == "fig6-blocks"
-            else _standard_rows(preset, method, data, truth, start, packed)
-        )
-        triples.extend((method, m, v) for m, v in pairs)
-    return triples
+    if preset == "fig6-blocks":
+        return [(method, m, v) for method in methods for m, v in _fig6_rows(method, data, truth)]
+    fitted = [m for m in methods if m in _HEPPCAT_METHODS]
+    models = {}
+    if fitted or "ppca-full" in methods:
+        models["ppca-full"] = start = ppca_closed_form(data, PRESET_K)
+    if fitted:
+        models.update(zip(fitted, _fit_heppcat(compress_gram(data), fitted, start)))
+    return [
+        (method, m, v)
+        for method in methods
+        for m, v in _standard_rows(preset, method, data, truth, models.get(method))
+    ]
+
+
+class _Row:
+    """A sweep row, handed out as its attribute dict.  The attribute dicts
+    of one class share one key table (PEP 412), so a row takes about a
+    third less memory than the same dict built as a display."""
+
+    def __init__(self, trial, sigma2, method, metric, value):
+        self.trial, self.sigma2, self.method, self.metric, self.value = trial, sigma2, method, metric, value
 
 
 def run_benchmark(preset: str, trials: int = 20, sigma_grid=None, methods=None, seed: int = 0) -> list:
@@ -234,7 +250,7 @@ def run_benchmark(preset: str, trials: int = 20, sigma_grid=None, methods=None, 
     # one copy of each key and name string, which keeps a sweep's rows
     # about 30% smaller
     rows = [
-        {"trial": t, "sigma2": s, "method": sys.intern(method), "metric": sys.intern(metric), "value": value}
+        _Row(t, s, sys.intern(method), sys.intern(metric), value).__dict__
         for (_, t, s, _, _), triples in zip(tasks, _map_tasks(_benchmark_task, tasks))
         for method, metric, value in triples
     ]
@@ -255,9 +271,9 @@ def _landscape_task(payload: tuple) -> list:
         ("random", r, init_random(truth.d, truth.k, truth.L, rng_stream(seed, 2, s_idx, r)))
         for r in range(n_random)
     ]
-    packed = compress_gram(data)
     kw = dict(rank=truth.k, v_method=method, max_iters=max_iters, tol=1e-8, loglik_tol=1e-9)
-    results = [(name, run, fit(packed, FitConfig(init=init, **kw))) for name, run, init in runs]
+    fits = _fit_lanes(compress_gram(data), [FitConfig(init=init, **kw) for _, _, init in runs])
+    results = [(name, run, res) for (name, run, _), res in zip(runs, fits)]
     converged = [r.trace.loglik[-1] for _, _, r in results if r.converged]
     best = max(converged) if converged else max(r.trace.loglik[-1] for _, _, r in results)
     return [
@@ -364,7 +380,7 @@ def _train_test_task(payload: tuple) -> list:
     train, test = train_test_split(data, fraction, seed, trial)
     start = ppca_closed_form(train, rank)
     bases = {
-        "heppcat": _fit_heppcat(compress_gram(train), "heppcat", start).U,
+        "heppcat": _fit_heppcat(compress_gram(train), ["heppcat"], start)[0].U,
         "ppca-full": start.U,
     }
     pooled = {"train": train.Y, "test": test.Y}

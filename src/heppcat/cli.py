@@ -199,6 +199,10 @@ def cmd_fit(args) -> int:
         "(constant -n*d/2*ln(2*pi) omitted); "
         f"v_hat {np.array2string(result.model.v, precision=6)}"
     )
+    print(
+        f"ascent violations {result.trace.ascent_violations} "
+        f"(worst likelihood drop {result.trace.worst_drop:.6g})"
+    )
     print(f"wrote {args.out}")
     return 0 if result.converged else 3
 

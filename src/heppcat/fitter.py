@@ -12,17 +12,30 @@ on the all-groups coefficients: ``em`` evaluates its closed form over
 every group at once; ``quad`` and ``cubic`` compute their surrogate
 terms that way and solve each group's polynomial in floats; ``doc`` and
 ``rootfind`` compute their brackets that way and loop over the groups
-for the root finding.  The noise update keeps ``U`` and ``lam``, so its
-model keeps the SVD and the iteration's likelihood comes from the same
-coefficients.  The initial likelihood projects onto the starting basis,
-and the first factor update reuses that product.
+for the root finding.  The noise update keeps ``U`` and ``lam``, so the
+iteration's likelihood comes from the same coefficients.  The initial
+likelihood projects onto the starting basis, and the first factor
+update reuses that product.
 
-That iteration is one map, ``_step``.  The plain fit applies it
-repeatedly; ``accel="squarem"`` applies it in SQUAREM cycles.  Either
-way every map evaluation goes through ``_Run.step``, which keeps the
-trace, the ascent monitor and the stop rule.  An extrapolated point's
-SVD and projection serve both its likelihood check and the map step
-that follows it.
+That iteration is one map, ``_map``, and it runs on lanes: several fits
+of one dataset that differ only in their noise method and start, with
+their points stacked on a leading lane axis (``_Points``).  The factor
+update, the SVD, the projection, the coefficients and the likelihood
+terms run once over the stack; numpy's stacked ``matmul``, ``svd`` and
+``eigh`` treat each lane as its own call, and every reduction runs
+within a lane, so each lane's numbers are bit-identical to its own
+fit's.  Each lane's noise update, its trace, ascent monitor and stop
+rule (``_Run``), and its SQUAREM step length and accept/reject run per
+lane.  A lane that stops leaves the batch.  :func:`fit` is the one-lane
+case, and the harness fits a dataset's methods or starts as lanes of one
+``_fit_lanes`` call, which pays numpy's per-call overhead once per
+dataset instead of once per fit.
+
+The plain fit applies the map repeatedly; ``accel="squarem"`` applies it
+in SQUAREM cycles.  Every lane makes one map evaluation per batched
+evaluation, so the lanes of an accelerated fit stay in phase.  An
+extrapolated point's SVD and projection serve both its likelihood check
+and the map step that follows it.
 """
 
 from __future__ import annotations
@@ -30,7 +43,8 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +52,17 @@ from . import baselines
 from .errors import DegenerateDataError, NumericalError
 from .fupdate import _em_update_F
 from .fupdate import em_update_F  # noqa: F401  (perfbench's tracer wraps it here)
-from .model import FactorModel, GroupedData, _count, _projected_coefficients, coefficient_loglik
+from .model import (
+    FactorModel,
+    GroupedData,
+    VCoefficients,
+    _count,
+    _objective,
+    _projected_coefficients,
+    _spectral_terms,
+    _svd,
+    coefficient_loglik,
+)
 from .model import log_likelihood_parts, v_coefficients  # noqa: F401  (perfbench's tracer wraps them here)
 from .vupdate import V_METHODS, update_v
 
@@ -140,10 +164,12 @@ class FitTrace:
     ``f_change`` and ``seconds`` belong to iteration ``i + 1``, one map
     evaluation: its block updates and the likelihood of the updated
     model.  ``f_change`` is measured against the evaluation's input, and
-    ``seconds`` is its wall time, including the factor change.  Under
+    ``seconds`` is the wall time of the batched evaluation the fit took
+    part in, including the factor changes: a fit of its own is a batch
+    of one, and lanes fitted together share each entry.  Under
     ``accel="squarem"`` the input of a cycle's third evaluation is the
     extrapolated point, and that evaluation's ``seconds`` also counts
-    building and checking the point.
+    building and checking the points.
 
     ``ascent_violations`` counts the iterations whose likelihood fell by
     more than ``ASCENT_SLACK * (1 + |previous|)`` below the previous
@@ -179,31 +205,76 @@ def init_random(d: int, k: int, L: int, seed) -> FactorModel:
     return FactorModel(F, v)
 
 
-def _initial_model(data: GroupedData, cfg: FitConfig) -> FactorModel:
-    if cfg.init == "ppca":
-        return baselines.ppca_closed_form(data, cfg.rank)
-    if cfg.init.d != data.d or cfg.init.L != data.L or cfg.init.k != cfg.rank:
-        raise ValueError("explicit initial model does not match the data/config shapes")
-    return cfg.init
+def _start_models(data: GroupedData, cfgs: list) -> list:
+    """Each config's starting model; the spectral one is computed once."""
+    spectral, models = None, []
+    for cfg in cfgs:
+        if isinstance(cfg.init, FactorModel):
+            if cfg.init.d != data.d or cfg.init.L != data.L or cfg.init.k != cfg.rank:
+                raise ValueError("explicit initial model does not match the data/config shapes")
+            models.append(cfg.init)
+            continue
+        if spectral is None:
+            spectral = baselines.ppca_closed_form(data, cfg.rank)
+        models.append(spectral)
+    return models
 
 
-def _step(data: GroupedData, model: FactorModel, G: np.ndarray, method: str):
-    """One application of the iteration map, given ``G = U'Y`` on the
-    model's basis: the factor update, the projection onto the updated
-    basis and one all-groups noise update.  Returns the new model, its
-    projection and its likelihood."""
-    model = _em_update_F(data, model, G)
-    G = model.U.T @ data.Y
-    coefs = _projected_coefficients(data, model, G)
-    model = model._with_v(update_v(method, coefs, model.v))
-    return model, G, coefficient_loglik(coefs, data.counts, model.v)
+class _Points(NamedTuple):
+    """One point per lane, stacked on a leading lane axis: the factors
+    ``F``, the variances ``v``, the SVD ``F = U diag(sqrt(lam)) Vt``, the
+    projection ``G = U'Y`` and the likelihood ``ll``."""
+
+    F: np.ndarray
+    v: np.ndarray
+    U: np.ndarray
+    lam: np.ndarray
+    Vt: np.ndarray
+    G: np.ndarray
+    ll: list
+
+    def take(self, rows: list) -> "_Points":
+        """The points of lanes ``rows``, a subsequence of ``range(lanes)``."""
+        if len(rows) == len(self.ll):
+            return self
+        return _Points(*(a[rows] for a in self[:-1]), [self.ll[row] for row in rows])
 
 
-def _point(data: GroupedData, model: FactorModel) -> tuple:
-    """``(model, G, loglik)``: ``model`` with its projection ``G = U'Y``
-    and its likelihood."""
-    G = model.U.T @ data.Y
-    return model, G, coefficient_loglik(_projected_coefficients(data, model, G), data.counts, model.v)
+def _logliks(coefs: VCoefficients, counts: np.ndarray, v: np.ndarray) -> list:
+    """Each lane's :func:`~heppcat.model.coefficient_loglik`: the objective
+    over the stack, then one ``counts`` dot per lane."""
+    if v.all():
+        obj = _objective(coefs.alpha, coefs.beta, coefs.gamma[:, None, :], v[..., None])
+        return [0.5 * float(row.dot(counts)) for row in obj]
+    return [coefficient_loglik(coefs._lane(i), counts, row) for i, row in enumerate(v)]
+
+
+def _project(data: GroupedData, U: np.ndarray, lam: np.ndarray) -> tuple:
+    """``G = U'Y`` for stacked bases and the lanes' all-groups coefficients."""
+    G = U.swapaxes(-1, -2) @ data.Y
+    return G, _projected_coefficients(data, _spectral_terms(data.d, lam), G)
+
+
+def _point(data: GroupedData, F: np.ndarray, v: np.ndarray, svd: tuple | None = None) -> _Points:
+    """The points of stacked factors and variances: their SVD (``svd``,
+    when given, is it), projections and likelihoods."""
+    U, lam, Vt = _svd(F) if svd is None else svd
+    G, coefs = _project(data, U, lam)
+    return _Points(F, v, U, lam, Vt, G, _logliks(coefs, data.counts, v))
+
+
+def _map(data: GroupedData, p: _Points, methods: list) -> _Points:
+    """One application of the iteration map to every lane of ``p``: the
+    factor update, the SVD and the projection onto the updated basis over
+    the stack, then one all-groups noise update per lane, by its method,
+    and the likelihoods."""
+    F = _em_update_F(data, p.lam, p.Vt, p.v, p.G)
+    U, lam, Vt = _svd(F)
+    G, coefs = _project(data, U, lam)
+    v = np.empty_like(p.v)
+    for i, method in enumerate(methods):
+        v[i] = update_v(method, coefs._lane(i), p.v[i])
+    return _Points(F, v, U, lam, Vt, G, _logliks(coefs, data.counts, v))
 
 
 def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
@@ -218,18 +289,18 @@ def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
 
 
 class _Run:
-    """One fit's map evaluations and the trace they leave.
+    """One lane's map evaluations and the trace they leave.
 
-    A point is ``(model, G, loglik)``.  :meth:`step` applies the map to
-    one, counts it against the budget, records its trace entry, runs the
-    ascent monitor against the previous entry and tests the stop rule
-    against the point it started from.
+    :meth:`record` takes one evaluation of the batch: it counts it
+    against the budget, records its trace entry, runs the ascent monitor
+    against the previous entry and tests the stop rule against the point
+    the evaluation started from.
     """
 
-    def __init__(self, data: GroupedData, cfg: FitConfig, start: tuple):
-        self.data, self.cfg, self.point = data, cfg, start
-        self.loglik = [start[2]]
-        self.v_hist = [start[0].v.copy()] if cfg.record_trace else None
+    def __init__(self, cfg: FitConfig, start: _Points, row: int):
+        self.cfg, self.end = cfg, (start, row)
+        self.loglik = [start.ll[row]]
+        self.v_hist = [start.v[row].copy()] if cfg.record_trace else None
         self.f_change: list = []
         self.seconds: list = []
         self.converged = False
@@ -245,39 +316,27 @@ class _Run:
     def done(self) -> bool:
         return self.converged or self.iterations == self.cfg.max_iters
 
-    def step(self, point: tuple, t0: float | None = None) -> tuple:
-        """Apply the map to ``point``; ``t0``, when given, starts the
-        entry's clock earlier than the map itself."""
-        model, G, ll_prev = point
-        if not model.v.all():
-            raise DegenerateDataError(
-                f"iteration {self.iterations + 1}: group {int(np.argmin(model.v)) + 1} has zero noise "
-                "variance (its samples lie in the factor subspace); the factor update needs v > 0"
-            )
-        if t0 is None:
-            t0 = time.perf_counter()
-        try:
-            out, G, ll = _step(self.data, model, G, self.cfg.v_method)
-        except NumericalError as err:
-            raise NumericalError(f"iteration {self.iterations + 1}: {err}") from err
-        rel = _relative_change(out.F, model.F)
-        self.seconds.append(time.perf_counter() - t0)
-        last = self.loglik[-1]
+    def record(self, p: _Points, out: _Points, row: int, rel: float, seconds: float) -> bool:
+        """Record the evaluation that took row ``row`` of ``p`` to that of
+        ``out``, with factor change ``rel``; whether the run goes on."""
+        ll, last = out.ll[row], self.loglik[-1]
+        self.seconds.append(seconds)
         if last - ll > ASCENT_SLACK * (1.0 + abs(last)):
             self.violations += 1
             self.worst_drop = max(self.worst_drop, last - ll)
         self.loglik.append(ll)
         self.f_change.append(rel)
         if self.v_hist is not None:
-            self.v_hist.append(out.v.copy())
+            self.v_hist.append(out.v[row].copy())
         stop = rel <= self.cfg.tol
         if stop and self.cfg.v_tol is not None:
-            stop = _relative_change(out.v, model.v) <= self.cfg.v_tol
+            stop = _relative_change(out.v[row], p.v[row]) <= self.cfg.v_tol
         if stop and self.cfg.loglik_tol is not None:
+            ll_prev = p.ll[row]
             stop = abs(ll - ll_prev) <= self.cfg.loglik_tol * (1.0 + abs(ll_prev))
         self.converged = stop
-        self.point = (out, G, ll)
-        return self.point
+        self.end = (out, row)
+        return not self.done
 
     def result(self) -> FitResult:
         if self.violations:
@@ -294,61 +353,151 @@ class _Run:
             worst_drop=self.worst_drop,
             rejected_extrapolations=self.rejected,
         )
-        return FitResult(
-            model=self.point[0], converged=self.converged, iterations=self.iterations, trace=trace
-        )
+        p, row = self.end
+        model = FactorModel._unchecked(p.F[row], p.v[row], (p.U[row], p.lam[row], p.Vt[row]))
+        return FitResult(model=model, converged=self.converged, iterations=self.iterations, trace=trace)
 
 
-def _extrapolate(data: GroupedData, p0: tuple, p1: tuple, p2: tuple, scale: float):
-    """The SQUAREM point from ``p0`` and its two map images ``p1``, ``p2``:
-    ``p2`` itself when the step length is the plain one, None when the
-    point fails its checks.
+class _Lanes:
+    """The runs of the lanes that have not stopped, in lane order."""
+
+    def __init__(self, runs: list):
+        self.runs = runs
+        self.methods = [run.cfg.v_method for run in runs]
+
+    def step(self, data: GroupedData, p: _Points, t0: float | None = None) -> tuple:
+        """One batched map evaluation of every lane at ``p``; ``t0``, when
+        given, starts the entries' clock earlier than the map itself.
+        Drops the lanes that stop and returns the image and the rows of
+        the lanes that go on."""
+        it = self.runs[0].iterations + 1
+        if not p.v.all():
+            v = p.v[int(np.argmin(p.v.all(axis=1)))]
+            raise DegenerateDataError(
+                f"iteration {it}: group {int(np.argmin(v)) + 1} has zero noise "
+                "variance (its samples lie in the factor subspace); the factor update needs v > 0"
+            )
+        if t0 is None:
+            t0 = time.perf_counter()
+        try:
+            out = _map(data, p, self.methods)
+        except NumericalError as err:
+            raise NumericalError(f"iteration {it}: {err}") from err
+        rels = [_relative_change(out.F[row], p.F[row]) for row in range(len(self.runs))]
+        seconds = time.perf_counter() - t0
+        keep = [row for row, run in enumerate(self.runs) if run.record(p, out, row, rels[row], seconds)]
+        if len(keep) < len(self.runs):
+            self.runs = [self.runs[row] for row in keep]
+            self.methods = [self.methods[row] for row in keep]
+        return out, keep
+
+
+def _extrapolate(data: GroupedData, p0: _Points, p1: _Points, p2: _Points, scale: float) -> tuple:
+    """The SQUAREM points from each lane's ``p0`` and its two map images
+    ``p1``, ``p2``, and which lanes' points failed their checks.  A lane
+    whose step length is the plain one, or whose point fails, goes on
+    from its ``p2``.
 
     ``r = x1 - x0`` and ``w = x2 - 2 x1 + x0`` over ``(F, v)``; their
     norms weigh ``F`` by ``scale``, the data's mean squared entry, which
     puts both blocks in the units of ``v`` and makes the step length
     invariant under a rescaling of the data.
     """
-    (m0, _, _), (m1, _, _), (m2, _, ll2) = p0, p1, p2
-    rF, rv = m1.F - m0.F, m1.v - m0.v
-    wF, wv = m2.F - 2.0 * m1.F + m0.F, m2.v - 2.0 * m1.v + m0.v
-    r2 = scale * float(np.vdot(rF, rF)) + float(rv @ rv)
-    w2 = scale * float(np.vdot(wF, wF)) + float(wv @ wv)
-    alpha = -math.sqrt(r2 / w2) if w2 > 0.0 else -1.0
-    if not alpha < -1.0:
-        return p2
-    F = m0.F - (2.0 * alpha) * rF + (alpha * alpha) * wF
-    v = m0.v - (2.0 * alpha) * rv + (alpha * alpha) * wv
-    if not ((v > 0.0).all() and np.isfinite(F).all()):
-        return None
-    point = _point(data, FactorModel._unchecked(F, v))
-    # the tie term keeps roundoff from flipping the decision between
-    # fits of the same data, such as raw and Gram-compressed blocks
-    if point[2] >= ll2 - EXTRAPOLATION_TIE * (1.0 + abs(ll2)):
-        return point
-    return None
+    rF, rv = p1.F - p0.F, p1.v - p0.v
+    wF, wv = p2.F - 2.0 * p1.F + p0.F, p2.v - 2.0 * p1.v + p0.v
+    alphas = []
+    for row in range(len(p0.ll)):
+        r2 = scale * float(np.vdot(rF[row], rF[row])) + float(rv[row] @ rv[row])
+        w2 = scale * float(np.vdot(wF[row], wF[row])) + float(wv[row] @ wv[row])
+        alphas.append(-math.sqrt(r2 / w2) if w2 > 0.0 else -1.0)
+    rejected = [False] * len(alphas)
+    steps = [row for row, alpha in enumerate(alphas) if alpha < -1.0]
+    if not steps:
+        return p2, rejected
+    alpha = np.array([alphas[row] for row in steps])[:, None]
+    F = p0.F[steps] - (2.0 * alpha[..., None]) * rF[steps] + (alpha * alpha)[..., None] * wF[steps]
+    v = p0.v[steps] - (2.0 * alpha) * rv[steps] + (alpha * alpha) * wv[steps]
+    valid = np.flatnonzero((v > 0.0).all(axis=1) & np.isfinite(F).all(axis=(1, 2))).tolist()
+    q = _point(data, F[valid], v[valid]) if valid else None
+    taken = {}  # row of p2 -> row of q
+    for i, j in enumerate(valid):
+        row = steps[j]
+        ll2 = p2.ll[row]
+        # the tie term keeps roundoff from flipping the decision between
+        # fits of the same data, such as raw and Gram-compressed blocks
+        if q.ll[i] >= ll2 - EXTRAPOLATION_TIE * (1.0 + abs(ll2)):
+            taken[row] = i
+    for row in steps:
+        rejected[row] = row not in taken
+    if len(taken) == len(alphas):
+        return q, rejected
+    if not taken:
+        return p2, rejected
+    # the lanes that took their points, over the copies of p2
+    dst, src = list(taken), list(taken.values())
+    arrays = [a.copy() for a in p2[:-1]]
+    for a, b in zip(arrays, q):
+        a[dst] = b[src]
+    ll = list(p2.ll)
+    for row, i in taken.items():
+        ll[row] = q.ll[i]
+    return _Points(*arrays, ll), rejected
 
 
-def _squarem(run: _Run) -> None:
-    """Map evaluations in SQUAREM cycles until the run is done: two map
+def _squarem(data: GroupedData, lanes: _Lanes, p0: _Points) -> None:
+    """Map evaluations in SQUAREM cycles until every lane is done: two map
     steps, then one from the extrapolated point, or from the second
-    step's point when the extrapolation is rejected."""
-    data = run.data
+    step's point when the extrapolation is rejected.  Every evaluation
+    moves every lane, so the lanes keep in phase."""
     scale = float(data.energies.sum()) / (data.d * data.n)
-    p0 = run.point
-    while not run.done:
-        p1 = run.step(p0)
-        if run.done:
+    while lanes.runs:
+        p1, keep = lanes.step(data, p0)
+        if not lanes.runs:
             break
-        p2 = run.step(p1)
-        if run.done:
+        p0, p1 = p0.take(keep), p1.take(keep)
+        p2, keep = lanes.step(data, p1)
+        if not lanes.runs:
             break
+        p0, p1, p2 = p0.take(keep), p1.take(keep), p2.take(keep)
         t0 = time.perf_counter()
-        point = _extrapolate(data, p0, p1, p2, scale)
-        if point is None:
-            run.rejected += 1
-            point = p2
-        p0 = run.step(point, t0)
+        point, rejected = _extrapolate(data, p0, p1, p2, scale)
+        for run, failed in zip(lanes.runs, rejected):
+            run.rejected += failed
+        p0, keep = lanes.step(data, point, t0)
+        p0 = p0.take(keep)
+
+
+def _fit_lanes(data: GroupedData, cfgs: list) -> list:
+    """:func:`fit` of one dataset under each config, as the lanes of one
+    batched iteration map; returns the results in config order.
+
+    The configs may differ only in ``v_method`` and ``init``.  Each map
+    evaluation runs the factor update, the SVD, the projection and the
+    likelihood terms over the stacked lanes, and each lane's noise
+    update, trace, ascent monitor, stop rule and SQUAREM step on its own;
+    a lane that stops leaves the batch.  Every result is bit-identical to
+    the lane's own fit.  A lane that fails raises its fit's error, and
+    the other lanes' results are lost with it.
+    """
+    cfg = cfgs[0]
+    shared = [f.name for f in fields(FitConfig) if f.name not in ("v_method", "init")]
+    if any(getattr(other, name) != getattr(cfg, name) for other in cfgs[1:] for name in shared):
+        raise ValueError("the configs of one dataset's lanes may differ only in v_method and init")
+    if not 1 <= cfg.rank < data.d:
+        raise ValueError("need 1 <= rank < d")
+    models = _start_models(data, cfgs)
+    svd = tuple(np.stack(parts) for parts in zip(*((m.U, m.lam, m.Vt) for m in models)))
+    start = _point(data, np.stack([m.F for m in models]), np.stack([m.v for m in models]), svd)
+    runs = [_Run(c, start, row) for row, c in enumerate(cfgs)]
+    lanes = _Lanes(list(runs))
+    if cfg.accel == "squarem":
+        _squarem(data, lanes, start)
+    else:
+        p = start
+        while lanes.runs:
+            p, keep = lanes.step(data, p)
+            p = p.take(keep)
+    return [run.result() for run in runs]
 
 
 def fit(data: GroupedData, cfg: FitConfig) -> FitResult:
@@ -370,12 +519,4 @@ def fit(data: GroupedData, cfg: FitConfig) -> FitResult:
     :class:`DegenerateDataError` naming the group; a fit that stops
     first returns the zero.
     """
-    if not 1 <= cfg.rank < data.d:
-        raise ValueError("need 1 <= rank < d")
-    run = _Run(data, cfg, _point(data, _initial_model(data, cfg)))
-    if cfg.accel == "squarem":
-        _squarem(run)
-    else:
-        while not run.done:
-            run.step(run.point)
-    return run.result()
+    return _fit_lanes(data, [cfg])[0]

@@ -36,30 +36,42 @@ def em_update_F(data: GroupedData, model: FactorModel) -> FactorModel:
         raise ValueError("data and model shapes differ")
     if np.any(model.v <= 0):
         raise ValueError("factor update requires strictly positive variances")
-    return _em_update_F(data, model, model.U.T @ data.Y)
+    F = _em_update_F(data, model.lam[None], model.Vt[None], model.v[None], (model.U.T @ data.Y)[None])
+    return FactorModel._unchecked(F[0], model.v.copy())
 
 
-def _em_update_F(data: GroupedData, model: FactorModel, G: np.ndarray) -> FactorModel:
-    """:func:`em_update_F` given ``G = U'Y``, the data projected onto the
-    model's basis, without the argument checks."""
-    lam, Vt = model.lam, model.Vt
-    D = 1.0 / (lam + model.v[:, None])
-    Z = np.repeat(D * np.sqrt(lam), data.widths, axis=0).T * G
-    Zw = Z / np.repeat(model.v, data.widths)
-    A = data.Y @ Zw.T
-    N = Zw @ Z.T + np.diag(data.counts @ D)
+def _em_update_F(data: GroupedData, lam: np.ndarray, Vt: np.ndarray, v: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The updated factors of :func:`em_update_F` for a stack of models,
+    one per lane of the leading axis, from their ``lam``, ``Vt`` and ``v``
+    and ``G = U'Y``, the data projected onto their bases, without the
+    argument checks.
+
+    Each lane's factors are bit-identical to a stack of one's, and a
+    failure of any lane raises.
+    """
+    lam_row = lam[:, None, :]
+    D = 1.0 / (lam_row + v[..., None])
+    Z = (D * np.sqrt(lam_row)).repeat(data.widths, axis=1).swapaxes(1, 2) * G
+    Zw = Z / v.repeat(data.widths, axis=1)[:, None, :]
+    A = data.Y @ Zw.swapaxes(1, 2)
+    # N = Zw Z' + diag(counts D), added through a flat view of the fresh
+    # C-ordered product's diagonal; a product's sums start from +0.0, so
+    # no off-diagonal entry is a -0.0 that adding a zero would flip
+    n, k = lam.shape
+    N = Zw @ Z.swapaxes(1, 2)
+    N.reshape(n, k * k)[:, :: k + 1] += data.counts @ D
     # one eigendecomposition, of N's lower triangle, serves the condition
     # check and the solve F+ = A Q diag(1/w) Q' Vt
     try:
         w, Q = np.linalg.eigh(N)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"factor-update solve failed: {err}") from err
-    if w[0] <= 0 or w[0] < _RCOND_FLOOR * w[-1]:
+    if any(low <= 0 or low < _RCOND_FLOOR * high for low, high in zip(w[:, 0].tolist(), w[:, -1].tolist())):
         raise NumericalError("factor-update normal matrix is numerically singular")
-    F = A @ ((Q / w) @ (Q.T @ Vt))
+    F = A @ ((Q / w[:, None, :]) @ (Q.swapaxes(1, 2) @ Vt))
     if not np.isfinite(F).all():
         raise NumericalError("factor update produced non-finite factors")
-    return FactorModel._unchecked(F, model.v.copy())
+    return F
 
 
 def compress_gram(data: GroupedData) -> GroupedData:

@@ -46,17 +46,40 @@ def normalize_column_signs(U: np.ndarray, Vt: np.ndarray | None = None):
     """
     U = np.array(U, dtype=float, copy=True)
     Vt = None if Vt is None else np.array(Vt, dtype=float, copy=True)
-    _flip_column_signs(U, Vt)
+    _flip_column_signs(U[None], None if Vt is None else Vt[None])
     return U if Vt is None else (U, Vt)
 
 
 def _flip_column_signs(U: np.ndarray, Vt: np.ndarray | None) -> None:
-    """:func:`normalize_column_signs` in place; a factor of 1 or -1
-    changes nothing else, signed zeros included."""
-    sign = np.where(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0, -1.0, 1.0)
-    U *= sign
+    """:func:`normalize_column_signs` in place, of a stack of ``U`` (and
+    ``Vt``) matrices on a leading axis; a factor of 1 or -1 changes
+    nothing else, signed zeros included."""
+    n, _, k = U.shape
+    sign = np.where(U[np.arange(n)[:, None], np.abs(U).argmax(axis=1), np.arange(k)] < 0, -1.0, 1.0)
+    U *= sign[:, None, :]
     if Vt is not None:
-        Vt *= sign[:, None]
+        Vt *= sign[:, :, None]
+
+
+def _svd(F: np.ndarray) -> tuple:
+    """``(U, lam, Vt)`` of each matrix of a stack, ``F = U diag(sqrt(lam))
+    Vt``: the thin SVD with sign-normalized columns of ``U`` and ``lam``
+    the squared singular values in nonincreasing order."""
+    U, s, Vt = np.linalg.svd(F, full_matrices=False)
+    _flip_column_signs(U, Vt)
+    return U, s**2, Vt
+
+
+def _spectral_terms(d: int, lam: np.ndarray) -> tuple:
+    """``(alpha, gamma, zero_set)`` of :class:`VCoefficients` for squared
+    singular values ``lam``; a stack of ``lam`` rows gives one row of
+    ``gamma`` and ``zero_set`` each and one shared ``alpha``."""
+    k = lam.shape[-1]
+    gamma = np.zeros(lam.shape[:-1] + (k + 1,))
+    gamma[..., 1:] = lam
+    # each row's largest entry is its lam_1, so this is _zero_set row by row
+    zero_set = gamma <= ZERO_EIGENVALUE_RTOL * np.maximum(1.0, lam[..., :1])
+    return np.array([d - k] + [1.0] * k), gamma, zero_set
 
 
 def _whole(value, name: str) -> int:
@@ -201,27 +224,21 @@ class FactorModel:
         self._decompose()
 
     @classmethod
-    def _unchecked(cls, F: np.ndarray, v: np.ndarray) -> "FactorModel":
+    def _unchecked(cls, F: np.ndarray, v: np.ndarray, svd: tuple | None = None) -> "FactorModel":
         """A model of a C-ordered float ``F`` and ``v`` without the checks;
-        the SVD still runs."""
+        the SVD runs unless ``svd`` gives ``F``'s :func:`_svd`."""
         out = cls.__new__(cls)
         out.F, out.v = F, v
-        out._decompose()
+        out._decompose(svd)
         return out
 
-    def _decompose(self) -> None:
-        U, s, Vt = np.linalg.svd(self.F, full_matrices=False)
-        _flip_column_signs(U, Vt)
-        self.U, self.Vt, self.lam = U, Vt, s**2
-        gamma = np.concatenate(([0.0], self.lam))
-        alpha = np.array([self.d - self.k] + [1.0] * self.k)
-        self.spectral_terms = (alpha, gamma, _zero_set(gamma))
-
-    def _with_v(self, v: np.ndarray) -> "FactorModel":
-        """The same factors and SVD with new variances ``v``, unchecked."""
-        out = FactorModel.__new__(FactorModel)
-        out.__dict__.update(self.__dict__, v=v)
-        return out
+    def _decompose(self, svd: tuple | None = None) -> None:
+        if svd is None:
+            U, s, Vt = np.linalg.svd(self.F, full_matrices=False)
+            _flip_column_signs(U[None], Vt[None])
+            svd = U, s**2, Vt
+        self.U, self.lam, self.Vt = svd
+        self.spectral_terms = _spectral_terms(self.d, self.lam)
 
     @property
     def d(self) -> int:
@@ -281,6 +298,11 @@ class VCoefficients:
         c.alpha, c.beta, c.gamma, c.zero_set, c.beta_tilde = alpha, beta, gamma, zero_set, beta_tilde
         return c
 
+    def _lane(self, i: int) -> "VCoefficients":
+        """Lane ``i``'s all-groups coefficients out of a stack of them
+        (see :func:`_projected_coefficients`)."""
+        return self._unchecked(self.alpha, self.beta[i], self.gamma[i], self.zero_set[i], self.beta_tilde[i])
+
     def group(self, l: int) -> "VCoefficients":
         """Group ``l``'s coefficients out of an all-groups set."""
         return self._unchecked(self.alpha, self.beta[l], self.gamma, self.zero_set, float(self.beta_tilde[l]))
@@ -302,18 +324,25 @@ def group_coefficients(data: GroupedData, model: FactorModel) -> VCoefficients:
     subtracts them from ``||Y_l||_F^2``, clamped at zero (no d x d
     projector).  Dividing by ``group_sizes`` keeps compressed groups exact.
     """
-    return _projected_coefficients(data, model, model.U.T @ data.Y)
+    return _projected_coefficients(data, model.spectral_terms, model.U.T @ data.Y)
 
 
-def _projected_coefficients(data: GroupedData, model: FactorModel, G: np.ndarray) -> VCoefficients:
+def _projected_coefficients(data: GroupedData, terms: tuple, G: np.ndarray) -> VCoefficients:
     """:func:`group_coefficients` given ``G = U'Y``, the data projected onto
-    the model's basis."""
-    e_dir = np.add.reduceat(G * G, data.starts, axis=1)
-    e_res = np.maximum(data.energies - e_dir.sum(axis=0), 0.0)
+    the model's basis, and the model's :func:`_spectral_terms`.
+
+    A stack of projections with one row of ``gamma`` and ``zero_set``
+    each gives a stack of all-groups coefficients: ``beta`` of shape
+    ``(lanes, L, k + 1)``; every lane's entries are bit-identical to its
+    own call's.
+    """
+    e_dir = np.add.reduceat(G * G, data.starts, axis=-1)
+    e_res = np.maximum(data.energies - e_dir.sum(axis=-2), 0.0)
     # one C-contiguous row per group, so row sums round as a group's own
-    beta = np.divide(np.concatenate((e_res[None], e_dir)).T, data.counts[:, None], order="C")
-    alpha, gamma, zero_set = model.spectral_terms
-    return VCoefficients._unchecked(alpha, beta, gamma, zero_set, beta @ zero_set)
+    beta = np.concatenate((e_res[..., None, :], e_dir), axis=-2).swapaxes(-1, -2)
+    beta = np.divide(beta, data.counts[:, None], order="C")
+    alpha, gamma, zero_set = terms
+    return VCoefficients._unchecked(alpha, beta, gamma, zero_set, (beta @ zero_set[..., None])[..., 0])
 
 
 def v_coefficients(block: np.ndarray, model: FactorModel, n_samples: int | None = None) -> VCoefficients:

@@ -117,14 +117,14 @@ def test_heppcat_rows_match_raw_data_fits(sigma2, monkeypatch, caplog):
     # heppcat row matches a default-start fit of the raw data to
     # rounding, after as many iterations, and the start itself, the
     # ppca-full row, is the raw data's closed form exactly
-    iterations = []
+    iterations, real = [], benchmark._fit_lanes
 
-    def counted(data, cfg):
-        res = fit(data, cfg)
-        iterations.append(res.iterations)
-        return res
+    def counted(data, cfgs):
+        results = real(data, cfgs)
+        iterations.extend(res.iterations for res in results)
+        return results
 
-    monkeypatch.setattr(benchmark, "fit", counted)
+    monkeypatch.setattr(benchmark, "_fit_lanes", counted)
     methods = tuple(f"heppcat-{m}" for m in V_METHODS)
     with caplog.at_level(logging.WARNING, logger="heppcat"):
         rows = run_benchmark("fig3", trials=1, sigma_grid=(sigma2,), methods=methods + ("ppca-full",), seed=0)
@@ -150,6 +150,20 @@ def test_capped_harness_fits_are_logged(monkeypatch, caplog):
     assert warnings == ["heppcat-doc fit on L=2 groups stopped at max_iters without converging (3 iterations)"]
     # the capped fit is still scored
     assert {r["method"] for r in rows} == {"heppcat-doc", "ppca-full"}
+
+
+def test_capped_lanes_are_logged_in_method_order(monkeypatch, caplog):
+    # the task's heppcat methods are fitted as lanes of one fit; each
+    # capped lane logs its own warning, in the order of the methods
+    monkeypatch.setattr(benchmark, "_FIT_KW", dict(benchmark._FIT_KW, max_iters=3))
+    methods = ("heppcat-rootfind", "ppca-full", "heppcat-em", "heppcat-doc")
+    with caplog.at_level(logging.WARNING, logger="heppcat"):
+        run_benchmark("fig3", trials=1, sigma_grid=(2.0,), methods=methods, seed=0)
+    warnings = [r.getMessage() for r in caplog.records if r.name == "heppcat"]
+    assert warnings == [
+        f"{m} fit on L=2 groups stopped at max_iters without converging (3 iterations)"
+        for m in ("heppcat-rootfind", "heppcat-em", "heppcat-doc")
+    ]
 
 
 def test_benchmark_validation():

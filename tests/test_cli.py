@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import logging
 import inspect
 import os
 import pathlib
@@ -31,7 +32,7 @@ from heppcat import (
     write_dataset,
     write_rows,
 )
-from heppcat import _blas
+from heppcat import _blas, fitter
 from heppcat.cli import build_parser, main, parse_feature_blocks
 from heppcat.errors import NumericalError
 
@@ -213,6 +214,31 @@ def test_fit_budget_exhausted_exit_3_still_writes(tmp_path, capsys):
     assert read_json(path)["k"] == 2
 
 
+def test_fit_summary_reports_ascent_violations(tmp_path, capsys, monkeypatch, caplog):
+    sim = simulate_small(tmp_path)
+    argv = ["fit", "--data", sim / "data.csv", "--rank", 2, "--tol", 0, "--max-iters", 8, "--trace"]
+    assert run(argv + ["--out", tmp_path / "a.json"]) == 3
+    assert "ascent violations 0 (worst likelihood drop 0)" in capsys.readouterr().out
+    # force a drop, as the fitter's ascent monitor test does: in iteration
+    # 3 the second group's update overshoots its optimum tenfold
+    real, calls = fitter.update_v, []
+
+    def dropping(method, c, v_t=None):
+        calls.append(1)
+        v_new = real(method, c, v_t)
+        if len(calls) == 3:
+            v_new[1] *= 10.0
+        return v_new
+
+    monkeypatch.setattr(fitter, "update_v", dropping)
+    with caplog.at_level(logging.WARNING, logger="heppcat"):
+        assert run(argv + ["--out", tmp_path / "b.json"]) == 3
+    ll = read_json(tmp_path / "b.json")["trace"]["loglik"]
+    assert ll[3] < ll[2]
+    out = capsys.readouterr().out
+    assert f"ascent violations 1 (worst likelihood drop {ll[2] - ll[3]:.6g})" in out
+
+
 def test_fit_rank_too_large_exit_2(tmp_path, capsys):
     sim = simulate_small(tmp_path)
     code = run(["fit", "--data", sim / "data.csv", "--rank", 20, "--out", tmp_path / "m.json"])
@@ -291,7 +317,7 @@ def test_fit_non_finite_factor_update_exit_4(tmp_path, capsys, monkeypatch):
         # NaN eigenvectors for the 2 x 2 normal matrix of the factor
         # update; the 20 x 20 spectral start passes through
         w, Q = eigh(a)
-        return (w, np.full(np.shape(a), np.nan)) if len(a) == 2 else (w, Q)
+        return (w, np.full(np.shape(a), np.nan)) if np.shape(a)[-1] == 2 else (w, Q)
 
     monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
     code = run(["fit", "--data", sim / "data.csv", "--rank", 2, "--out", tmp_path / "m.json"])

@@ -83,13 +83,13 @@ def test_trace_seconds_include_the_likelihood(monkeypatch):
     import heppcat.fitter as fitmod
 
     # each iteration's likelihood comes from its coefficient pass
-    real = fitmod.coefficient_loglik
+    real = fitmod._logliks
 
     def slow(coefs, counts, v):
         time.sleep(0.002)
         return real(coefs, counts, v)
 
-    monkeypatch.setattr(fitmod, "coefficient_loglik", slow)
+    monkeypatch.setattr(fitmod, "_logliks", slow)
     data, _ = two_group_data()
     r = fit(data, FitConfig(rank=2, max_iters=5, tol=0.0))
     assert len(r.trace.seconds) == 5
@@ -115,7 +115,8 @@ def test_one_svd_per_iteration(monkeypatch):
 def test_one_projection_per_iteration():
     # k x M products U'Y: the initial likelihood's, which the first
     # factor update reuses, and one per iteration on the updated basis,
-    # which the next factor update reuses
+    # which the next factor update reuses; a fit is one lane, so each
+    # product is a stack of one
     shapes = []
 
     class CountingY(np.ndarray):
@@ -128,7 +129,7 @@ def test_one_projection_per_iteration():
     data, _ = two_group_data()
     data.Y = data.Y.view(CountingY)
     fit(data, FitConfig(rank=2, max_iters=5, tol=0.0))
-    assert shapes == [(2, data.d)] * (1 + 5)
+    assert shapes == [(1, 2, data.d)] * (1 + 5)
 
 
 @pytest.mark.parametrize("compress", [False, True])
@@ -343,12 +344,13 @@ def test_squarem_rejects_a_nonpositive_variance(monkeypatch):
     # v runs 1, 0.5, 0.2 with F fixed: the step length is 2.5 and the
     # extrapolated variance -0.25, so the point is rejected
     data, _ = two_group_data()
-    F = ppca_closed_form(data, 2).F
-    points = [(FactorModel(F, [v, 1.0]), None, -float(i)) for i, v in enumerate((1.0, 0.5, 0.2))]
-    assert fitter._extrapolate(data, *points, 1.0) is None
+    F = ppca_closed_form(data, 2).F[None]
+    points = [fitter._point(data, F, np.array([[v, 1.0]])) for v in (1.0, 0.5, 0.2)]
+    point, rejected = fitter._extrapolate(data, *points, 1.0)
+    assert rejected == [True] and point is points[2]
     # a rejected cycle goes on from its second map step, so a fit that
     # rejects every point walks the plain path
-    monkeypatch.setattr(fitter, "_extrapolate", lambda *args: None)
+    monkeypatch.setattr(fitter, "_extrapolate", lambda data, p0, p1, p2, scale: (p2, [True] * len(p2.ll)))
     res = fit(data, FitConfig(rank=2, max_iters=7, tol=0.0, accel="squarem"))
     assert res.trace.rejected_extrapolations == 2
     plain = fit(data, FitConfig(rank=2, max_iters=7, tol=0.0))
@@ -361,13 +363,13 @@ def test_squarem_rejects_a_nonpositive_variance(monkeypatch):
 def test_squarem_meets_the_budget_exactly(monkeypatch, max_iters):
     # every map evaluation counts, mid-cycle too, and leaves one entry
     calls = []
-    real = fitter._step
+    real = fitter._map
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(fitter, "_step", counting)
+    monkeypatch.setattr(fitter, "_map", counting)
     data, _ = two_group_data()
     res = fit(data, FitConfig(rank=2, max_iters=max_iters, tol=0.0, accel="squarem"))
     assert len(calls) == res.iterations == max_iters and not res.converged
@@ -384,3 +386,74 @@ def test_squarem_final_loglik_is_the_models_likelihood(compress):
     assert res.converged
     direct = log_likelihood_direct(data, res.model)
     assert abs(res.trace.loglik[-1] - direct) <= 1e-9 * abs(direct)
+
+
+# ---------------------------------------------------------------------------
+# lanes: several fits of one dataset as one batched iteration map
+
+
+def _assert_same_fit(got, want, label):
+    assert got.iterations == want.iterations, label
+    assert got.converged == want.converged, label
+    for name in ("F", "v", "U", "lam", "Vt"):
+        assert getattr(got.model, name).tobytes() == getattr(want.model, name).tobytes(), (label, name)
+    for name in ("loglik", "f_change", "v"):
+        assert getattr(got.trace, name).tobytes() == getattr(want.trace, name).tobytes(), (label, name)
+    for name in ("ascent_violations", "worst_drop", "rejected_extrapolations"):
+        assert getattr(got.trace, name) == getattr(want.trace, name), (label, name)
+
+
+def _lane_datasets():
+    planted = generate(preset_truth(2.0, seed=0), seed=0)
+    small, _ = two_group_data(d=8, sizes=(400, 600))
+    return {
+        "raw": (planted, 3, 120),
+        "gram": (compress_gram(planted), 3, 120),
+        # L=1000 one-sample groups at small d
+        "one-sample": (GroupedData.from_samples(small.Y, [1] * small.n), 2, 25),
+    }
+
+
+@pytest.mark.parametrize("accel", [None, "squarem"])
+@pytest.mark.parametrize("case", ["raw", "gram", "one-sample"])
+def test_lanes_equal_solo_fits_bit_for_bit(case, accel):
+    data, k, budget = _lane_datasets()[case]
+    # plain fits at the harness tolerances would all run out of budget
+    tols = dict(tol=1e-8, loglik_tol=1e-10) if accel else dict(tol=1e-4, loglik_tol=1e-7)
+    kw = dict(rank=k, max_iters=budget, accel=accel, **tols)
+    # every method from the spectral start, and two cheap ones from a
+    # random one; the lanes stop at different iterations and leave the batch
+    start = init_random(data.d, k, data.L, seed=7)
+    cfgs = [FitConfig(v_method=m, **kw) for m in V_METHODS]
+    cfgs += [FitConfig(v_method=m, init=start, **kw) for m in ("em", "quad")]
+    lanes = fitter._fit_lanes(data, cfgs)
+    assert len({res.iterations for res in lanes}) > 1
+    for cfg, res in zip(cfgs, lanes, strict=True):
+        _assert_same_fit(res, fit(data, cfg), (cfg.v_method, cfg.init is start))
+
+
+def test_lane_reaching_a_zero_variance_raises_its_solo_error():
+    data = zero_group_data()
+    kw = dict(rank=2, loglik_tol=1e-10)
+    with pytest.raises(DegenerateDataError) as solo:
+        fit(data, FitConfig(v_method="rootfind", **kw))
+    # em never reaches the exact zero, so only the rootfind lane fails
+    with pytest.raises(DegenerateDataError) as lanes:
+        fitter._fit_lanes(data, [FitConfig(v_method="em", **kw), FitConfig(v_method="rootfind", **kw)])
+    assert str(lanes.value) == str(solo.value)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [dict(rank=3), dict(max_iters=7), dict(tol=1e-3), dict(record_trace=False), dict(v_tol=1e-6),
+     dict(loglik_tol=1e-9), dict(accel="squarem")],
+)
+def test_lanes_differ_only_in_method_and_start(change):
+    data, _ = two_group_data()
+    base = dict(rank=2, max_iters=5, tol=0.0)
+    with pytest.raises(ValueError, match="may differ only in v_method and init"):
+        fitter._fit_lanes(data, [FitConfig(**base), FitConfig(**{**base, **change})])
+    # method and start may differ
+    start = init_random(data.d, 2, data.L, seed=1)
+    lanes = fitter._fit_lanes(data, [FitConfig(**base), FitConfig(v_method="doc", init=start, **base)])
+    assert [res.iterations for res in lanes] == [5, 5]
