@@ -20,9 +20,9 @@ stops at its iteration budget logs a ``heppcat`` warning.
 
 A task's fits of one dataset run as the lanes of one batched fit
 (``fitter._fit_lanes``): a benchmark task fits all of its heppcat
-methods together and a landscape task all of its starts, and each lane's
-result is bit-identical to its own fit.  fig6 fits each method and block
-size on its own, since every block size is a different dataset.
+methods together, fig6 once per block size, and a landscape task all of
+its starts.  Each lane's result is bit-identical to its own fit, so a
+method's rows do not depend on the other methods of the sweep.
 """
 
 from __future__ import annotations
@@ -183,16 +183,19 @@ def _standard_rows(preset: str, method: str, data: GroupedData, truth: TruthMode
     return out
 
 
-def _fig6_rows(method: str, data: GroupedData, truth: TruthModel) -> list:
+def _fig6_rows(methods: tuple, data: GroupedData, truth: TruthModel) -> list:
+    """The ``(method, metric, value)`` triples of the heppcat ``methods``:
+    per block size, one regrouping, one spectral start and one batched fit."""
     # blocks of at most d columns have no thinner Gram root, so they are fitted as they are
     out = []
     for block in FIG6_BLOCK_SIZES:
         regrouped = _split_into_blocks(data, block)
-        (model,) = _fit_heppcat(regrouped, [method], ppca_closed_form(regrouped, PRESET_K))
+        models = _fit_heppcat(regrouped, methods, ppca_closed_form(regrouped, PRESET_K))
         # blocks inherit the true variance of the group they came from
         true_v = np.repeat(truth.v, [n // block for n in truth.group_sizes])
-        for v_hat, v_true in zip(model.v, true_v):
-            out.append((f"v_hat_block{block}_true{v_true:g}", float(v_hat)))
+        for method, model in zip(methods, models):
+            for v_hat, v_true in zip(model.v, true_v):
+                out.append((method, f"v_hat_block{block}_true{v_true:g}", float(v_hat)))
     return out
 
 
@@ -203,7 +206,7 @@ def _benchmark_task(payload: tuple) -> list:
     truth = preset_truth(sigma2, seed, trial, blocked=(preset == "fig7"))
     data = generate(truth, seed, trial)
     if preset == "fig6-blocks":
-        return [(method, m, v) for method in methods for m, v in _fig6_rows(method, data, truth)]
+        return _fig6_rows(methods, data, truth)
     fitted = [m for m in methods if m in _HEPPCAT_METHODS]
     models = {}
     if fitted or "ppca-full" in methods:
@@ -363,7 +366,9 @@ def _train_counts(group_sizes, fraction: float) -> list:
 
 
 def train_test_split(data: GroupedData, fraction: float, seed: int, trial: int = 0):
-    """Per-group random split into train and test subsets."""
+    """Per-group random split of the samples into train and test subsets."""
+    if not np.array_equal(data.widths, data.group_sizes):
+        raise ValueError("train_test_split needs one column per sample, not Gram-compressed data")
     train_blocks, test_blocks = [], []
     counts = _train_counts(data.group_sizes, fraction)
     for l, (B, n, n_train) in enumerate(zip(data.blocks, data.group_sizes, counts), 1):

@@ -46,6 +46,8 @@ _POOL_BYTES = 1 << 22
 
 def write_dataset(path, data: GroupedData, labels=None) -> None:
     """Write grouped samples as CSV with a header row."""
+    if not np.array_equal(data.widths, data.group_sizes):
+        raise ValueError("write_dataset needs one column per sample, not Gram-compressed data")
     if labels is None:
         labels = [f"g{l + 1}" for l in range(data.L)]
     if len(labels) != data.L:

@@ -21,13 +21,17 @@ That iteration is one map, ``_map``, and it runs on lanes: several fits
 of one dataset that differ only in their noise method and start, with
 their points stacked on a leading lane axis (``_Points``).  The factor
 update, the SVD, the projection, the coefficients and the likelihood
-terms run once over the stack; numpy's stacked ``matmul``, ``svd`` and
-``eigh`` treat each lane as its own call, and every reduction runs
-within a lane, so each lane's numbers are bit-identical to its own
-fit's.  Each lane's noise update, its trace, ascent monitor and stop
-rule (``_Run``), and its SQUAREM step length and accept/reject run per
-lane.  A lane that stops leaves the batch.  :func:`fit` is the one-lane
-case, and the harness fits a dataset's methods or starts as lanes of one
+terms run once over the stack.  All but the factor update are the model
+module's ``_svd``, ``_project`` and ``_logliks``, which serve a
+:class:`~heppcat.model.FactorModel` and the public likelihood as a stack
+of one.  numpy's stacked ``matmul``, ``svd`` and ``eigh`` treat each
+lane as its own call, and every reduction runs within a lane, so each
+lane's numbers are bit-identical to its own fit's.  Each lane's noise
+update, its trace, ascent monitor and stop rule (``_Run``), and its
+SQUAREM step length and accept/reject run per lane.  A lane that stops
+leaves the batch: ``_Lanes.step`` drops it from the image and from the
+points the caller carries.  :func:`fit` is the one-lane case, and the
+harness fits a dataset's methods or starts as lanes of one
 ``_fit_lanes`` call, which pays numpy's per-call overhead once per
 dataset instead of once per fit.
 
@@ -52,17 +56,7 @@ from . import baselines
 from .errors import DegenerateDataError, NumericalError
 from .fupdate import _em_update_F
 from .fupdate import em_update_F  # noqa: F401  (perfbench's tracer wraps it here)
-from .model import (
-    FactorModel,
-    GroupedData,
-    VCoefficients,
-    _count,
-    _objective,
-    _projected_coefficients,
-    _spectral_terms,
-    _svd,
-    coefficient_loglik,
-)
+from .model import FactorModel, GroupedData, _count, _logliks, _project, _svd
 from .model import log_likelihood_parts, v_coefficients  # noqa: F401  (perfbench's tracer wraps them here)
 from .vupdate import V_METHODS, update_v
 
@@ -231,28 +225,11 @@ class _Points(NamedTuple):
     lam: np.ndarray
     Vt: np.ndarray
     G: np.ndarray
-    ll: list
+    ll: np.ndarray
 
     def take(self, rows: list) -> "_Points":
         """The points of lanes ``rows``, a subsequence of ``range(lanes)``."""
-        if len(rows) == len(self.ll):
-            return self
-        return _Points(*(a[rows] for a in self[:-1]), [self.ll[row] for row in rows])
-
-
-def _logliks(coefs: VCoefficients, counts: np.ndarray, v: np.ndarray) -> list:
-    """Each lane's :func:`~heppcat.model.coefficient_loglik`: the objective
-    over the stack, then one ``counts`` dot per lane."""
-    if v.all():
-        obj = _objective(coefs.alpha, coefs.beta, coefs.gamma[:, None, :], v[..., None])
-        return [0.5 * float(row.dot(counts)) for row in obj]
-    return [coefficient_loglik(coefs._lane(i), counts, row) for i, row in enumerate(v)]
-
-
-def _project(data: GroupedData, U: np.ndarray, lam: np.ndarray) -> tuple:
-    """``G = U'Y`` for stacked bases and the lanes' all-groups coefficients."""
-    G = U.swapaxes(-1, -2) @ data.Y
-    return G, _projected_coefficients(data, _spectral_terms(data.d, lam), G)
+        return _Points(*(a[rows] for a in self))
 
 
 def _point(data: GroupedData, F: np.ndarray, v: np.ndarray, svd: tuple | None = None) -> _Points:
@@ -299,7 +276,7 @@ class _Run:
 
     def __init__(self, cfg: FitConfig, start: _Points, row: int):
         self.cfg, self.end = cfg, (start, row)
-        self.loglik = [start.ll[row]]
+        self.loglik = [float(start.ll[row])]
         self.v_hist = [start.v[row].copy()] if cfg.record_trace else None
         self.f_change: list = []
         self.seconds: list = []
@@ -319,7 +296,7 @@ class _Run:
     def record(self, p: _Points, out: _Points, row: int, rel: float, seconds: float) -> bool:
         """Record the evaluation that took row ``row`` of ``p`` to that of
         ``out``, with factor change ``rel``; whether the run goes on."""
-        ll, last = out.ll[row], self.loglik[-1]
+        ll, last = float(out.ll[row]), self.loglik[-1]
         self.seconds.append(seconds)
         if last - ll > ASCENT_SLACK * (1.0 + abs(last)):
             self.violations += 1
@@ -363,13 +340,12 @@ class _Lanes:
 
     def __init__(self, runs: list):
         self.runs = runs
-        self.methods = [run.cfg.v_method for run in runs]
 
-    def step(self, data: GroupedData, p: _Points, t0: float | None = None) -> tuple:
+    def step(self, data: GroupedData, p: _Points, *carry: _Points, t0: float | None = None) -> tuple:
         """One batched map evaluation of every lane at ``p``; ``t0``, when
         given, starts the entries' clock earlier than the map itself.
-        Drops the lanes that stop and returns the image and the rows of
-        the lanes that go on."""
+        Drops the lanes that stop and returns the image and the ``carry``
+        points, each with the lanes that go on."""
         it = self.runs[0].iterations + 1
         if not p.v.all():
             v = p.v[int(np.argmin(p.v.all(axis=1)))]
@@ -380,16 +356,16 @@ class _Lanes:
         if t0 is None:
             t0 = time.perf_counter()
         try:
-            out = _map(data, p, self.methods)
+            out = _map(data, p, [run.cfg.v_method for run in self.runs])
         except NumericalError as err:
             raise NumericalError(f"iteration {it}: {err}") from err
         rels = [_relative_change(out.F[row], p.F[row]) for row in range(len(self.runs))]
         seconds = time.perf_counter() - t0
         keep = [row for row, run in enumerate(self.runs) if run.record(p, out, row, rels[row], seconds)]
-        if len(keep) < len(self.runs):
-            self.runs = [self.runs[row] for row in keep]
-            self.methods = [self.methods[row] for row in keep]
-        return out, keep
+        if len(keep) == len(self.runs):
+            return (out, *carry)
+        self.runs = [self.runs[row] for row in keep]
+        return tuple(q.take(keep) for q in (out, *carry))
 
 
 def _extrapolate(data: GroupedData, p0: _Points, p1: _Points, p2: _Points, scale: float) -> tuple:
@@ -435,13 +411,10 @@ def _extrapolate(data: GroupedData, p0: _Points, p1: _Points, p2: _Points, scale
         return p2, rejected
     # the lanes that took their points, over the copies of p2
     dst, src = list(taken), list(taken.values())
-    arrays = [a.copy() for a in p2[:-1]]
+    arrays = [a.copy() for a in p2]
     for a, b in zip(arrays, q):
         a[dst] = b[src]
-    ll = list(p2.ll)
-    for row, i in taken.items():
-        ll[row] = q.ll[i]
-    return _Points(*arrays, ll), rejected
+    return _Points(*arrays), rejected
 
 
 def _squarem(data: GroupedData, lanes: _Lanes, p0: _Points) -> None:
@@ -451,20 +424,17 @@ def _squarem(data: GroupedData, lanes: _Lanes, p0: _Points) -> None:
     moves every lane, so the lanes keep in phase."""
     scale = float(data.energies.sum()) / (data.d * data.n)
     while lanes.runs:
-        p1, keep = lanes.step(data, p0)
+        p1, p0 = lanes.step(data, p0, p0)
         if not lanes.runs:
             break
-        p0, p1 = p0.take(keep), p1.take(keep)
-        p2, keep = lanes.step(data, p1)
+        p2, p0, p1 = lanes.step(data, p1, p0, p1)
         if not lanes.runs:
             break
-        p0, p1, p2 = p0.take(keep), p1.take(keep), p2.take(keep)
         t0 = time.perf_counter()
         point, rejected = _extrapolate(data, p0, p1, p2, scale)
         for run, failed in zip(lanes.runs, rejected):
             run.rejected += failed
-        p0, keep = lanes.step(data, point, t0)
-        p0 = p0.take(keep)
+        (p0,) = lanes.step(data, point, t0=t0)
 
 
 def _fit_lanes(data: GroupedData, cfgs: list) -> list:
@@ -495,8 +465,7 @@ def _fit_lanes(data: GroupedData, cfgs: list) -> list:
     else:
         p = start
         while lanes.runs:
-            p, keep = lanes.step(data, p)
-            p = p.take(keep)
+            (p,) = lanes.step(data, p)
     return [run.result() for run in runs]
 
 

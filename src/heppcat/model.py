@@ -4,6 +4,15 @@ Samples in group ``l`` follow ``y = F z + eps`` with latent
 ``z ~ N(0, I_k)`` and noise ``eps ~ N(0, v_l I_d)``, so the group
 covariance is ``F F' + v_l I_d``.  All likelihoods drop the ``2 pi``
 constant and use natural log.
+
+The SVD of the factors (``_svd``), the projection ``U'Y`` with every
+group's noise-objective coefficients (``_project``) and the likelihood
+(``_logliks``) are each implemented once, over models stacked on a
+leading lane axis.  The fitter calls them on its lanes; a
+:class:`FactorModel`, :func:`group_coefficients`, :func:`v_coefficients`
+and :func:`log_likelihood_parts` call them on a stack of one.  Every
+reduction runs within a lane, so a lane's numbers do not depend on the
+stack it is in.
 """
 
 from __future__ import annotations
@@ -68,18 +77,6 @@ def _svd(F: np.ndarray) -> tuple:
     U, s, Vt = np.linalg.svd(F, full_matrices=False)
     _flip_column_signs(U, Vt)
     return U, s**2, Vt
-
-
-def _spectral_terms(d: int, lam: np.ndarray) -> tuple:
-    """``(alpha, gamma, zero_set)`` of :class:`VCoefficients` for squared
-    singular values ``lam``; a stack of ``lam`` rows gives one row of
-    ``gamma`` and ``zero_set`` each and one shared ``alpha``."""
-    k = lam.shape[-1]
-    gamma = np.zeros(lam.shape[:-1] + (k + 1,))
-    gamma[..., 1:] = lam
-    # each row's largest entry is its lam_1, so this is _zero_set row by row
-    zero_set = gamma <= ZERO_EIGENVALUE_RTOL * np.maximum(1.0, lam[..., :1])
-    return np.array([d - k] + [1.0] * k), gamma, zero_set
 
 
 def _whole(value, name: str) -> int:
@@ -198,9 +195,7 @@ class FactorModel:
     variance per group; zeros are legal only as outputs of the exact
     zero-residual branch of the noise updates, and ``fit`` stops with
     :class:`~heppcat.errors.DegenerateDataError` before the next factor
-    update, which needs every variance positive.  ``spectral_terms`` holds
-    the noise-objective coefficients shared by all groups:
-    ``(alpha, gamma, zero_set)`` of :class:`VCoefficients`.
+    update, which needs every variance positive.
     """
 
     F: np.ndarray
@@ -208,7 +203,6 @@ class FactorModel:
     U: np.ndarray = field(init=False)
     lam: np.ndarray = field(init=False)
     Vt: np.ndarray = field(init=False)
-    spectral_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.F = np.ascontiguousarray(self.F, dtype=float)
@@ -226,19 +220,14 @@ class FactorModel:
     @classmethod
     def _unchecked(cls, F: np.ndarray, v: np.ndarray, svd: tuple | None = None) -> "FactorModel":
         """A model of a C-ordered float ``F`` and ``v`` without the checks;
-        the SVD runs unless ``svd`` gives ``F``'s :func:`_svd`."""
+        the SVD runs unless ``svd`` gives ``F``'s ``(U, lam, Vt)``."""
         out = cls.__new__(cls)
         out.F, out.v = F, v
         out._decompose(svd)
         return out
 
     def _decompose(self, svd: tuple | None = None) -> None:
-        if svd is None:
-            U, s, Vt = np.linalg.svd(self.F, full_matrices=False)
-            _flip_column_signs(U[None], Vt[None])
-            svd = U, s**2, Vt
-        self.U, self.lam, self.Vt = svd
-        self.spectral_terms = _spectral_terms(self.d, self.lam)
+        self.U, self.lam, self.Vt = (a[0] for a in _svd(self.F[None])) if svd is None else svd
 
     @property
     def d(self) -> int:
@@ -299,8 +288,7 @@ class VCoefficients:
         return c
 
     def _lane(self, i: int) -> "VCoefficients":
-        """Lane ``i``'s all-groups coefficients out of a stack of them
-        (see :func:`_projected_coefficients`)."""
+        """Lane ``i``'s all-groups coefficients out of :func:`_project`'s stack."""
         return self._unchecked(self.alpha, self.beta[i], self.gamma[i], self.zero_set[i], self.beta_tilde[i])
 
     def group(self, l: int) -> "VCoefficients":
@@ -318,31 +306,34 @@ class VCoefficients:
 
 
 def group_coefficients(data: GroupedData, model: FactorModel) -> VCoefficients:
-    """Every group's noise-objective coefficients from one ``U'Y`` product.
+    """Every group's noise-objective coefficients from one ``U'Y`` product
+    (:func:`_project` of a stack of one)."""
+    return _project(data, model.U[None], model.lam[None])[1]._lane(0)
+
+
+def _project(data: GroupedData, U: np.ndarray, lam: np.ndarray) -> tuple:
+    """``G = U'Y`` for a stack of bases ``U`` with squared singular values
+    ``lam``, and each lane's all-groups noise-objective coefficients.
 
     Segment sums of the projected energies give ``beta_1..k``; ``beta_0``
     subtracts them from ``||Y_l||_F^2``, clamped at zero (no d x d
-    projector).  Dividing by ``group_sizes`` keeps compressed groups exact.
+    projector).  Dividing by ``group_sizes`` keeps compressed groups
+    exact.  ``beta`` has shape ``(lanes, L, k + 1)``, ``gamma`` and
+    ``zero_set`` one row per lane, and ``alpha`` is shared.
     """
-    return _projected_coefficients(data, model.spectral_terms, model.U.T @ data.Y)
-
-
-def _projected_coefficients(data: GroupedData, terms: tuple, G: np.ndarray) -> VCoefficients:
-    """:func:`group_coefficients` given ``G = U'Y``, the data projected onto
-    the model's basis, and the model's :func:`_spectral_terms`.
-
-    A stack of projections with one row of ``gamma`` and ``zero_set``
-    each gives a stack of all-groups coefficients: ``beta`` of shape
-    ``(lanes, L, k + 1)``; every lane's entries are bit-identical to its
-    own call's.
-    """
+    G = U.swapaxes(-1, -2) @ data.Y
     e_dir = np.add.reduceat(G * G, data.starts, axis=-1)
     e_res = np.maximum(data.energies - e_dir.sum(axis=-2), 0.0)
     # one C-contiguous row per group, so row sums round as a group's own
     beta = np.concatenate((e_res[..., None, :], e_dir), axis=-2).swapaxes(-1, -2)
     beta = np.divide(beta, data.counts[:, None], order="C")
-    alpha, gamma, zero_set = terms
-    return VCoefficients._unchecked(alpha, beta, gamma, zero_set, (beta @ zero_set[..., None])[..., 0])
+    k = lam.shape[-1]
+    gamma = np.zeros(lam.shape[:-1] + (k + 1,))
+    gamma[..., 1:] = lam
+    # each row's largest entry is its lam_1, so this is _zero_set row by row
+    zero_set = gamma <= ZERO_EIGENVALUE_RTOL * np.maximum(1.0, lam[..., :1])
+    alpha = np.array([data.d - k] + [1.0] * k)
+    return G, VCoefficients._unchecked(alpha, beta, gamma, zero_set, (beta @ zero_set[..., None])[..., 0])
 
 
 def v_coefficients(block: np.ndarray, model: FactorModel, n_samples: int | None = None) -> VCoefficients:
@@ -381,13 +372,17 @@ def univariate_objective(c: VCoefficients, v: float) -> float:
     return float(_objective(c.alpha, c.beta, c.gamma, v))
 
 
-def coefficient_loglik(coefs: VCoefficients, counts: np.ndarray, v: np.ndarray) -> float:
-    """``sum_l (n_l / 2) * univariate_objective(c_l, v_l)`` over :func:`group_coefficients`."""
-    if v.all():
-        obj = _objective(coefs.alpha, coefs.beta, coefs.gamma, v[:, None])
-    else:  # zero variances take the objective's boundary limits
-        obj = np.array([univariate_objective(coefs.group(l), vl) for l, vl in enumerate(v)])
-    return 0.5 * float(obj @ counts)
+def _logliks(coefs: VCoefficients, counts: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each lane's ``sum_l (n_l / 2) * univariate_objective(c_l, v_l)`` over
+    :func:`_project`'s stacked coefficients and a stack ``v`` of variances:
+    the objective over the stack, then one ``counts`` dot per lane.  A zero
+    variance takes the objective's boundary limit."""
+    zero = v == 0.0
+    # a zero variance is evaluated at 1, not at log(0), and then replaced
+    obj = _objective(coefs.alpha, coefs.beta, coefs.gamma[:, None, :], np.where(zero, 1.0, v)[..., None])
+    for i, l in zip(*np.nonzero(zero)):
+        obj[i, l] = univariate_objective(coefs._lane(i).group(l), 0.0)
+    return 0.5 * np.array([row.dot(counts) for row in obj])
 
 
 def univariate_derivative(c: VCoefficients, v: float) -> float:
@@ -436,4 +431,5 @@ def log_likelihood_parts(data: GroupedData, model: FactorModel) -> float:
         raise ValueError("data and model dimensions differ")
     if data.L != model.L:
         raise ValueError("data and model group counts differ")
-    return coefficient_loglik(group_coefficients(data, model), data.counts, model.v)
+    coefs = _project(data, model.U[None], model.lam[None])[1]
+    return float(_logliks(coefs, data.counts, model.v[None])[0])

@@ -21,6 +21,7 @@ from heppcat import (
     PRESETS,
     V_METHODS,
     component_recovery,
+    compress_gram,
     factor_error,
     generate,
     log_likelihood_direct,
@@ -140,6 +141,22 @@ def test_heppcat_rows_match_raw_data_fits(sigma2, monkeypatch, caplog):
             assert raw.iterations == its, method
             got = {r["metric"]: r["value"] for r in rows if r["method"] == method}
             assert got == pytest.approx(_fig3_metrics(raw.model.U, raw.model.F, truth), rel=1e-9), method
+
+
+@pytest.mark.parametrize(
+    "preset, sigma_grid, methods",
+    [
+        ("fig3", (0.5,), tuple(f"heppcat-{m}" for m in V_METHODS)),
+        ("fig6-blocks", None, ("heppcat", "heppcat-doc", "heppcat-cubic", "heppcat-quad")),
+    ],
+)
+def test_heppcat_rows_do_not_depend_on_the_method_set(preset, sigma_grid, methods):
+    # a task fits its methods as lanes of one fit; each method's rows are
+    # those of a sweep of that method alone
+    rows = run_benchmark(preset, trials=1, sigma_grid=sigma_grid, methods=methods, seed=0)
+    for method in methods:
+        alone = run_benchmark(preset, trials=1, sigma_grid=sigma_grid, methods=(method,), seed=0)
+        assert [r for r in rows if r["method"] == method] == alone, method
 
 
 def test_capped_harness_fits_are_logged(monkeypatch, caplog):
@@ -516,6 +533,14 @@ def test_train_test_split_partitions():
         train_test_split(data, 1.5, seed=0)
     with pytest.raises(ValueError, match="empty"):
         train_test_split(GroupedData([np.ones((2, 2))]), 0.1, seed=0)
+
+
+def test_train_test_split_rejects_gram_compressed_data(rng):
+    # Gram roots have fewer columns than samples, and columns are not samples
+    data = compress_gram(GroupedData([rng.standard_normal((5, 6)), rng.standard_normal((5, 40))]))
+    assert data.widths.tolist() == [5, 5] and data.group_sizes == (6, 40)
+    with pytest.raises(ValueError, match="Gram-compressed"):
+        train_test_split(data, 0.5, seed=0)
 
 
 def test_train_test_split_deterministic():

@@ -10,6 +10,7 @@ import heppcat.dataio as dataio
 from heppcat import (
     FitConfig,
     GroupedData,
+    compress_gram,
     fit,
     model_record,
     read_dataset,
@@ -32,6 +33,17 @@ def test_dataset_roundtrip_exact(rng, tmp_path):
     for A, B in zip(back.blocks, data.blocks):
         # repr floats round-trip to the identical double
         assert np.array_equal(A, B)
+
+
+def test_write_dataset_rejects_gram_compressed_data(rng, tmp_path):
+    # Gram roots have fewer columns than samples: written as rows, they
+    # would read back as other group sizes
+    data = compress_gram(GroupedData([rng.standard_normal((5, 6)), rng.standard_normal((5, 40))]))
+    assert data.widths.tolist() == [5, 5] and data.group_sizes == (6, 40)
+    path = tmp_path / "data.csv"
+    with pytest.raises(ValueError, match="Gram-compressed"):
+        write_dataset(path, data)
+    assert not path.exists()
 
 
 def test_dataset_rewrite_is_byte_identical(rng, tmp_path):

@@ -25,6 +25,7 @@ from heppcat import (
     v_coefficients,
     weighted_pca,
 )
+from heppcat.model import _logliks, _project, _svd
 from conftest import random_model_and_data, segment_edge_cases
 
 
@@ -182,7 +183,7 @@ def test_model_svd_flips_as_normalize_column_signs(monkeypatch, rng):
     # the model flips its fresh SVD factors in place; they must come out
     # as normalize_column_signs' flipped copies, byte for byte: a tie for
     # the largest magnitude (first index wins), a column to flip, a zero
-    # column and signed zeros
+    # column and signed zeros; the model decomposes a stack of one
     U = np.array([
         [0.5, -0.5, 0.0, 0.1],
         [-0.5, 0.5, -0.0, -0.9],
@@ -193,7 +194,7 @@ def test_model_svd_flips_as_normalize_column_signs(monkeypatch, rng):
     Vt = np.array([[0.6, -0.0, 0.8, 0.0], [0.0, -1.0, 0.0, 0.0], [-0.8, 0.0, 0.6, -0.0], [0.0, 0.0, -0.0, 1.0]])
     s = np.array([3.0, 2.0, 1.0, 0.0])
     real = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda F, full_matrices: (U.copy(), s.copy(), Vt.copy()))
+    monkeypatch.setattr(np.linalg, "svd", lambda F, full_matrices: (U[None].copy(), s[None].copy(), Vt[None].copy()))
     model = FactorModel(np.ones((5, 4)), [1.0])
     want_U, want_Vt = normalize_column_signs(U, Vt)
     assert model.U.tobytes() == want_U.tobytes() and model.Vt.tobytes() == want_Vt.tobytes()
@@ -268,6 +269,25 @@ def test_parts_boundary_convention_at_zero_variance():
     offspan = GroupedData([np.array([[2.0], [1.0], [0.0]])])
     assert log_likelihood_parts(inside, model) == math.inf
     assert log_likelihood_parts(offspan, model) == -math.inf
+
+
+def test_stacked_logliks_take_the_boundary_limits_lane_by_lane(rng):
+    # lanes of three models of one dataset, two of them with a zero
+    # variance: each lane is its own model's likelihood, with the boundary
+    # limits, +inf for a group inside the factor span and -inf for a group
+    # with an off-span residual
+    inside = np.zeros((3, 4))
+    inside[0] = [2.0, -1.0, 1.0, 3.0]
+    data = GroupedData([inside, rng.standard_normal((3, 5))])
+    axis = np.array([[1.0], [0.0], [0.0]])
+    F = np.stack([rng.standard_normal((3, 1)), axis, axis])
+    v = np.array([[0.5, 2.0], [0.0, 2.0], [0.5, 0.0]])
+    U, lam, _ = _svd(F)
+    got = _logliks(_project(data, U, lam)[1], data.counts, v)
+    want = [log_likelihood_parts(data, FactorModel(f, row)) for f, row in zip(F, v)]
+    assert got.tolist() == want
+    assert want[1] == math.inf and want[2] == -math.inf
+    assert want[0] == pytest.approx(log_likelihood_direct(data, FactorModel(F[0], v[0])), rel=1e-12)
 
 
 def test_shape_mismatch_rejected(rng):
